@@ -275,7 +275,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="verify a litmus test outcome over all interleavings")
     p.add_argument("file")
     common(p)
-    p.add_argument("--workers", type=int, default=1, help="frontier partitions")
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility; the search runs in one thread")
     p.add_argument("--trace-out", metavar="PATH", help="write the counterexample trace as JSON")
     p.set_defaults(func=_run_check)
 
@@ -283,7 +284,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     common(p)
     p.add_argument("--watch", required=True, metavar="M2,M3", help="ordered master pair")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility; the search runs in one thread")
     p.set_defaults(func=_run_cover)
 
     p = sub.add_parser("gen", help="generate a regression test reaching a coverage target")

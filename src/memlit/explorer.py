@@ -9,8 +9,11 @@ have been observed.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Iterator
 
 from . import kernel
 from .kernel import (
@@ -37,9 +40,17 @@ RegisterMap = dict[str, dict[str, int]]
 
 
 class StateLimitExceeded(Exception):
-    def __init__(self, max_states: int):
+    """More than ``max_states`` states reached while expanding the BFS layer
+    at ``depth`` (the root is depth 0), which held ``frontier`` states."""
+
+    def __init__(self, max_states: int, depth: int, frontier: int):
         self.max_states = max_states
-        super().__init__(f"exploration exceeded {max_states} states")
+        self.depth = depth
+        self.frontier = frontier
+        super().__init__(
+            f"exploration exceeded {max_states} states "
+            f"while expanding depth {depth} ({frontier} frontier states)"
+        )
 
 
 class ReplayError(Exception):
@@ -81,6 +92,9 @@ class ExplorationResult:
     trigger_register_maps: frozenset[tuple[tuple[int, ...], ...]] | None
     watched_loads: frozenset[str] | None
     compiled: CompiledConfig = field(repr=False)
+    # Shortest trace to the first trigger state found; None without
+    # watched loads or when no trigger state is reachable.
+    witness: Trace | None = None
 
     def final_maps(self) -> list[RegisterMap]:
         return sorted(
@@ -131,7 +145,9 @@ def explore(
 
     Passing ``watched_loads`` (possibly empty) enables trigger-state
     register collection: the registers of every reachable state in which
-    all watched loads have been observed.
+    all watched loads have been observed, and a shortest witness trace to
+    the first such state.  The search runs in one thread; ``workers`` is
+    accepted and does not change the result.
     """
     result, _, _ = _explore_full(
         config,
@@ -145,23 +161,84 @@ def explore(
     return result
 
 
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    """Pause the cyclic collector, turning it back on only if it was on.
+
+    A search allocates only acyclic tuples, yet a running collector keeps
+    rescanning the growing visited set; that took about a third of a
+    large search."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 @dataclass
 class _Space:
-    """Visited bookkeeping with parent edges for trace reconstruction."""
+    """What a breadth-first search reached: each node with the edge that
+    first reached it, so paths back to the root are shortest."""
 
-    index: dict[MachineState, int]
-    parents: list[tuple[int, InternalEvent | None]]
+    parents: dict  # node -> (parent node, internal event), root -> None
+    finals: list  # nodes without successors, in discovery order
+    tally: list[int]  # transitions per event code
+    transitions: int
+    stop: object | None  # the node ``visit`` stopped at
 
-    def trace_to(self, cc: CompiledConfig, state: MachineState) -> Trace:
-        steps: list[EventDescriptor] = []
-        i = self.index[state]
-        while True:
-            parent, ev = self.parents[i]
-            if ev is None:
-                break
-            steps.append(to_descriptor(cc, ev))
-            i = parent
-        return tuple(reversed(steps))
+    def events_to(self, node) -> list[InternalEvent]:
+        steps: list[InternalEvent] = []
+        while (edge := self.parents[node]) is not None:
+            node, ev = edge
+            steps.append(ev)
+        return steps[::-1]
+
+    def trace_to(self, cc: CompiledConfig, node) -> Trace:
+        return tuple(to_descriptor(cc, ev) for ev in self.events_to(node))
+
+
+def _bfs(root, expand, visit, max_states: int) -> _Space:
+    """The breadth-first search core of exploration and trace generation.
+
+    ``expand(node)`` lists a node's (internal event, successor node) pairs
+    in a deterministic order.  ``visit`` sees each node once, the root
+    first, in discovery order; the search stops at the first node for which
+    it returns True.  Raises ``StateLimitExceeded`` once more than
+    ``max_states`` nodes have been reached.
+    """
+    parents: dict = {root: None}
+    finals = []
+    tally = [0] * len(kernel.EVENT_NAMES)
+    transitions = depth = 0
+    frontier = [root]
+    with _gc_paused():
+        stop = root if visit(root) else None
+        while frontier and stop is None:
+            next_frontier = []
+            for node in frontier:
+                succ = expand(node)
+                if not succ:
+                    finals.append(node)
+                    continue
+                transitions += len(succ)
+                for ev, nxt in succ:
+                    tally[ev[0]] += 1
+                    if nxt in parents:
+                        continue
+                    parents[nxt] = (node, ev)
+                    if len(parents) > max_states:
+                        raise StateLimitExceeded(max_states, depth, len(frontier))
+                    if visit(nxt):
+                        stop = nxt
+                        break
+                    next_frontier.append(nxt)
+                if stop is not None:
+                    break
+            frontier = next_frontier
+            depth += 1
+    return _Space(parents, finals, tally, transitions, stop)
 
 
 def _explore_full(
@@ -177,89 +254,39 @@ def _explore_full(
     cc = compile_config(config)
     watching = watched_loads is not None
     watched = _watched_mask(cc, watched_loads)
-    root = init_state(config)
-
-    space = _Space(index={root: 0}, parents=[(0, None)])
-    frontier: list[MachineState] = [root]
-    tally = [0] * len(kernel.EVENT_NAMES)
-    transition_count = 0
-    final_rfs: set[tuple[tuple[int, ...], ...]] = set()
-    trigger_rfs: set[tuple[tuple[int, ...], ...]] = set()
-    final_states: list[MachineState] = []
-    stop_state: MachineState | None = None
-
-    def check_one(st: MachineState) -> None:
-        if check_invariants:
-            violations = check_state_invariants(st, config)
-            if violations:
-                raise InvariantViolated(violations, space.trace_to(cc, st))
+    # Trigger register files, each with the first state that reached it.
+    triggers: dict[tuple[tuple[int, ...], ...], MachineState] = {}
+    violations: list[Violation] = []
 
     def visit(st: MachineState) -> bool:
-        """Trigger bookkeeping; True if the stop predicate fires here."""
+        """Invariant and trigger bookkeeping; True stops the search here."""
+        if check_invariants:
+            violations.extend(check_state_invariants(st, config))
+            if violations:
+                return True
         if (st.observed & watched) != watched:
             return False
         if watching:
-            trigger_rfs.add(st.rf)
+            triggers.setdefault(st.rf, st)
         return stop_predicate is not None and stop_predicate(st)
 
-    check_one(root)
-    if visit(root):
-        stop_state = root
-
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        while frontier and stop_state is None:
-            if pool is not None:
-                chunks = [frontier[i::workers] for i in range(workers)]
-                batches = list(pool.map(lambda ch: [successors(cc, s) for s in ch], chunks))
-                # Deterministic merge: results in original frontier order.
-                succ_of: dict[MachineState, list] = {}
-                for chunk, batch in zip(chunks, batches):
-                    for st, succ in zip(chunk, batch):
-                        succ_of[st] = succ
-                ordered = [(st, succ_of[st]) for st in frontier]
-            else:
-                ordered = [(st, successors(cc, st)) for st in frontier]
-
-            next_frontier: list[MachineState] = []
-            for st, succ in ordered:
-                if not succ:
-                    final_states.append(st)
-                    final_rfs.add(st.rf)
-                    continue
-                parent_ix = space.index[st]
-                transition_count += len(succ)
-                for ev, nxt in succ:
-                    tally[ev[0]] += 1
-                    if nxt not in space.index:
-                        space.index[nxt] = len(space.parents)
-                        space.parents.append((parent_ix, ev))
-                        if len(space.index) > max_states:
-                            raise StateLimitExceeded(max_states)
-                        check_one(nxt)
-                        next_frontier.append(nxt)
-                        if visit(nxt):
-                            stop_state = nxt
-                            break
-                if stop_state is not None:
-                    break
-            frontier = next_frontier
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    space = _bfs(init_state(config), partial(successors, cc), visit, max_states)
+    if violations:
+        raise InvariantViolated(violations, space.trace_to(cc, space.stop))
 
     result = ExplorationResult(
         name=name,
-        state_count=len(space.index),
-        transition_count=transition_count,
-        final_states=final_states,
-        final_register_maps=frozenset(final_rfs),
-        event_tally={kernel.EVENT_NAMES[i]: n for i, n in enumerate(tally)},
-        trigger_register_maps=frozenset(trigger_rfs) if watching else None,
+        state_count=len(space.parents),
+        transition_count=space.transitions,
+        final_states=space.finals,
+        final_register_maps=frozenset(st.rf for st in space.finals),
+        event_tally={kernel.EVENT_NAMES[i]: n for i, n in enumerate(space.tally)},
+        trigger_register_maps=frozenset(triggers) if watching else None,
         watched_loads=watched_loads if watching else None,
         compiled=cc,
+        witness=space.trace_to(cc, next(iter(triggers.values()))) if triggers else None,
     )
-    return result, space, stop_state
+    return result, space, space.stop
 
 
 def explore_test(

@@ -417,7 +417,11 @@ def _build_test(
 
 def parse(text: str) -> LitmusTest:
     """Parse litmus source into a validated test."""
-    return _Parser(text).parse_test()
+    parser = _Parser(text)
+    try:
+        return parser.parse_test()
+    except RecursionError:
+        raise parser.fail("outcome nests too deeply") from None
 
 
 def to_config(test: LitmusTest) -> SystemConfig:

@@ -19,7 +19,9 @@ from .explorer import (
     RegisterMap,
     StateLimitExceeded,
     Trace,
+    _bfs,
     _rf_snapshot,
+    _watched_mask,
     explore,
     replay,
 )
@@ -166,10 +168,7 @@ def find_trace(
     cc = compile_config(test.config)
     goal_holds = _goal_checker(test, target.goal)
 
-    watched = 0
-    for lid in test.watched_loads:
-        watched |= 1 << cc.slot(lid)
-
+    watched = _watched_mask(cc, test.watched_loads)
     cover_names = sorted(target.must_cover)
     cover_bit = {EVENT_NAMES.index(n): 1 << i for i, n in enumerate(cover_names)}
     full = (1 << len(cover_names)) - 1
@@ -177,10 +176,13 @@ def find_trace(
     if target.only_these:
         allowed_codes = set(kernel.ISSUE_CODES) | set(cover_bit)
 
-    root = init_state(test.config)
-    start = (root, 0)
-    parents: dict[tuple, tuple[tuple | None, kernel.InternalEvent | None]] = {start: (None, None)}
-    frontier = [start]
+    def expand(node: tuple) -> list:
+        st, fired = node
+        return [
+            (ev, (nxt, fired | cover_bit.get(ev[0], 0)))
+            for ev, nxt in successors(cc, st)
+            if allowed_codes is None or ev[0] in allowed_codes
+        ]
 
     def done(node: tuple) -> bool:
         st, fired = node
@@ -190,44 +192,12 @@ def find_trace(
             and goal_holds(st)
         )
 
-    goal_node = start if done(start) else None
-    while frontier and goal_node is None:
-        next_frontier = []
-        for node in frontier:
-            st, fired = node
-            for ev, nxt in successors(cc, st):
-                code = ev[0]
-                if allowed_codes is not None and code not in allowed_codes:
-                    continue
-                nxt_node = (nxt, fired | cover_bit.get(code, 0))
-                if nxt_node in parents:
-                    continue
-                parents[nxt_node] = (node, ev)
-                if len(parents) > max_states:
-                    raise StateLimitExceeded(max_states)
-                if done(nxt_node):
-                    goal_node = nxt_node
-                    break
-                next_frontier.append(nxt_node)
-            if goal_node is not None:
-                break
-        frontier = next_frontier
+    space = _bfs((init_state(test.config), 0), expand, done, max_states)
+    if space.stop is None:
+        raise Unreachable(len(space.parents))
+    trace = tuple(to_descriptor(cc, ev) for ev in space.events_to(space.stop))
 
-    if goal_node is None:
-        raise Unreachable(len(parents))
-
-    steps: list[EventDescriptor] = []
-    node = goal_node
-    while True:
-        parent, ev = parents[node]
-        if ev is None:
-            break
-        steps.append(to_descriptor(cc, ev))
-        node = parent
-    trace = tuple(reversed(steps))
-
-    final_state = goal_node[0]
-    expected = _rf_snapshot(cc, final_state.rf)
+    expected = _rf_snapshot(cc, space.stop[0].rf)
     return TestCase(
         name=name or f"{test.name}-target",
         litmus=format_test(test),
@@ -331,11 +301,10 @@ def platform_case(
     allowed = res.trigger_maps()
     if not allowed:
         raise Unreachable(res.state_count)
-    witness = find_trace(test, TestTarget(goal=None), max_states=max_states)
     return TestCase(
         name=name or f"{test.name}-platform",
         litmus=format_test(test),
-        trace=witness.trace,
+        trace=res.witness,
         allowed=allowed,
     )
 
@@ -641,16 +610,10 @@ def generate_suite(
             outcome_mode=OutcomeMode.REQUIRED,
             watched_loads=watched,
         )
-        witness = find_trace(
-            test,
-            TestTarget(goal=None),
-            max_states=max_states_per_sample,
-            name=name,
-        )
         case = TestCase(
             name=name,
             litmus=format_test(test),
-            trace=witness.trace,
+            trace=res.witness,
             allowed=allowed_set,
         )
         samples.append(SuiteSample(index, sample_seed, case))

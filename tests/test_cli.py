@@ -63,6 +63,18 @@ class TestCheck:
         code, _, err = run_cli(capsys, "check", fence_path, "--max-states", "10")
         assert code == 3
 
+    def test_deeply_nested_outcome_exit_two(self, capsys, tmp_path):
+        deep = tmp_path / "deep.litmus"
+        deep.write_text(
+            'litmus "deep"\nmaster M1 { I11: LD R1 a1; }\n'
+            f"forbidden {'(' * 2000}M1:R1 = 1{')' * 2000}\n"
+        )
+        code, out, err = run_cli(capsys, "check", str(deep), "--json")
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "outcome nests too deeply" in err
+
     def test_workers_flag_same_verdict(self, capsys, fence_path):
         code, out, _ = run_cli(capsys, "check", fence_path, "--workers", "4", "--json")
         assert code == 0

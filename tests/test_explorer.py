@@ -1,5 +1,6 @@
 """Exploration, verdicts, replay and trace-ordering checkers."""
 
+import gc
 import random
 
 import pytest
@@ -14,7 +15,7 @@ from memlit.explorer import (
     explore_test,
     replay,
 )
-from memlit.kernel import EventDescriptor, fire, init_state
+from memlit.kernel import EventDescriptor, fire, init_state, successors
 from memlit.litmus import parse
 from memlit.model import InstrKind, SystemConfig, compile_config
 
@@ -74,8 +75,16 @@ class TestExplore:
         assert len(proj) == 15
 
     def test_state_limit(self, iriw_fence):
-        with pytest.raises(StateLimitExceeded):
+        with pytest.raises(StateLimitExceeded) as err:
             explore(iriw_fence.config, max_states=100)
+        e = err.value
+        assert e.max_states == 100
+        # State 101 lies in the layer after the one being expanded.
+        sizes = layer_sizes(iriw_fence.config, 101)
+        assert sum(sizes[: e.depth + 1]) <= 100 < sum(sizes[: e.depth + 2])
+        assert e.frontier == sizes[e.depth]
+        assert str(e).startswith("exploration exceeded 100 states")
+        assert f"depth {e.depth} ({e.frontier} frontier states)" in str(e)
 
     def test_exploration_deterministic_across_runs(self, iriw_fence):
         a = explore_test(iriw_fence)
@@ -102,6 +111,59 @@ class TestExplore:
         assert doc["finalRegisterMaps"] == sorted(
             doc["finalRegisterMaps"], key=lambda d: sorted((m, sorted(v.items())) for m, v in d.items())
         )
+
+
+def layer_sizes(config, total: int) -> list[int]:
+    """Sizes of the breadth-first layers until they hold ``total`` states."""
+    cc = compile_config(config)
+    layer = [init_state(config)]
+    seen = set(layer)
+    sizes = [1]
+    while layer and sum(sizes) < total:
+        nxt = []
+        for st in layer:
+            for _, succ in successors(cc, st):
+                if succ not in seen:
+                    seen.add(succ)
+                    nxt.append(succ)
+        layer = nxt
+        sizes.append(len(nxt))
+    return sizes
+
+
+class TestCollectorPause:
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_setting_restored(self, iriw_fence, enabled):
+        was_enabled = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            explore_test(iriw_fence)
+            assert gc.isenabled() is enabled
+            with pytest.raises(StateLimitExceeded):
+                explore_test(iriw_fence, max_states=100)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was_enabled else gc.disable()
+
+    def test_collector_paused_during_search(self, iriw_fence, monkeypatch):
+        import memlit.explorer as explorer_mod
+
+        seen = set()
+        real = explorer_mod.successors
+
+        def probe(cc, st):
+            seen.add(gc.isenabled())
+            return real(cc, st)
+
+        monkeypatch.setattr(explorer_mod, "successors", probe)
+        assert gc.isenabled()
+        explore_test(iriw_fence)
+        assert seen == {False}
+
+    def test_search_leaves_no_cyclic_garbage(self, iriw_fence):
+        gc.collect()
+        explore_test(iriw_fence)
+        assert gc.collect() == 0
 
 
 def test_corpus_exploration_preserves_invariants(all_corpus):

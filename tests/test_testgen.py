@@ -134,6 +134,27 @@ class TestPlatformCase:
         assert verify_test(case).ok
 
 
+class TestWitness:
+    """Suite and platform witnesses come from their own exploration and
+    equal the trace of a separate goal-free ``find_trace`` search."""
+
+    def test_platform_case_on_corpus(self, all_corpus):
+        for name, test in all_corpus.items():
+            expected = find_trace(test, TestTarget(goal=None)).trace
+            assert platform_case(test).trace == expected, name
+
+    def test_suite_samples(self, iriw_fence):
+        # The small per-sample cap keeps this fast; 300 samples still keep
+        # more than 50.
+        suite = generate_suite(generalize(iriw_fence, 3), 300, seed=11,
+                               max_states_per_sample=1000)
+        kept = [s.case for s in suite.samples if s.case is not None]
+        assert len(kept) >= 50
+        for case in kept:
+            expected = find_trace(parse(case.litmus), TestTarget(goal=None)).trace
+            assert case.trace == expected, case.name
+
+
 class TestGeneralize:
     def test_class_admits_its_seed(self, iriw_fence):
         cls = generalize(iriw_fence, 3)
