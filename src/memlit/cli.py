@@ -15,6 +15,7 @@ from pathlib import Path
 from . import testgen
 from .coverage import cover, event_coverage, reg_combos
 from .explorer import (
+    DEFAULT_MAX_STATES,
     StateLimitExceeded,
     Verdict,
     check_outcome,
@@ -268,7 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--json", action="store_true", help="emit a single JSON document")
         p.add_argument(
-            "--max-states", type=int, default=10_000_000, metavar="N",
+            "--max-states", type=int, default=DEFAULT_MAX_STATES, metavar="N",
             help="abort exploration beyond N states (exit 3)",
         )
 

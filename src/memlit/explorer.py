@@ -22,7 +22,6 @@ from .kernel import (
     MachineState,
     Violation,
     apply_event,
-    check_guards,
     check_state_invariants,
     init_state,
     successors,
@@ -154,7 +153,6 @@ def explore(
         max_states=max_states,
         check_invariants=check_invariants,
         watched_loads=watched_loads,
-        workers=workers,
         name=name,
         stop_predicate=None,
     )
@@ -247,7 +245,6 @@ def _explore_full(
     max_states: int,
     check_invariants: bool,
     watched_loads: frozenset[str] | None,
-    workers: int,
     name: str,
     stop_predicate,
 ) -> tuple[ExplorationResult, _Space, MachineState | None]:
@@ -376,17 +373,12 @@ def check_outcome(
         max_states=max_states,
         check_invariants=False,
         watched_loads=test.watched_loads,
-        workers=workers,
         name=test.name,
         stop_predicate=stop,
     )
     witness = space.trace_to(cc, witness_state) if witness_state is not None else None
 
-    if mode is OutcomeMode.FORBIDDEN:
-        if witness is None:
-            return Verdict("Holds", True, result.state_count, result.transition_count)
-        return Verdict("Violated", False, result.state_count, result.transition_count, witness)
-    if mode is OutcomeMode.REQUIRED:
+    if mode is not OutcomeMode.ALLOWED:
         if witness is None:
             return Verdict("Holds", True, result.state_count, result.transition_count)
         return Verdict("Violated", False, result.state_count, result.transition_count, witness)
@@ -401,21 +393,14 @@ def check_outcome(
 
 def replay(config: SystemConfig, trace: Trace) -> MachineState:
     """Fold ``fire`` over the trace from the initial state."""
-    cc = compile_config(config)
-    st = init_state(config)
-    for i, ev in enumerate(trace):
-        internal = to_internal(cc, ev)
-        failed = check_guards(cc, st, internal)
-        if failed is not None:
-            raise ReplayError(i, kernel.GuardFailed(ev.name, failed, f"params {ev.params()}"))
-        st = apply_event(cc, st, internal)
-    return st
+    return replay_states(config, trace)[-1]
 
 
 def replay_states(
     config: SystemConfig, trace: Trace, enforce_guards: bool = True
 ) -> list[MachineState]:
-    """All intermediate states (len(trace)+1 entries).
+    """All intermediate states (len(trace)+1 entries).  A step that names
+    no event instance, or whose guard fails, raises ReplayError.
 
     With ``enforce_guards`` off, actions are applied regardless of guard
     failures so ordering checkers can judge corrupted sequences.
@@ -424,12 +409,13 @@ def replay_states(
     st = init_state(config)
     states = [st]
     for i, ev in enumerate(trace):
-        internal = to_internal(cc, ev)
-        if enforce_guards:
-            failed = check_guards(cc, st, internal)
-            if failed is not None:
-                raise ReplayError(i, kernel.GuardFailed(ev.name, failed, f"params {ev.params()}"))
-        st = apply_event(cc, st, internal)
+        try:
+            if enforce_guards:
+                st = kernel.step(cc, st, ev)
+            else:
+                st = apply_event(cc, st, to_internal(cc, ev))
+        except kernel.GuardFailed as e:
+            raise ReplayError(i, e) from None
         states.append(st)
     return states
 

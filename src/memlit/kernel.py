@@ -5,40 +5,25 @@ inputs.  Every event is a (name, parameter binding) pair; guards gate
 enabledness and actions build the successor.  Masks are over instruction
 slots / master indices of the compiled configuration (see ``model``).
 
-Event roster (one entry per transition rule):
-
-  IssueStore / IssueLoad / IssueScRelStore / IssueScAcqLoad / IssueFence
-      issue the next instruction of a master, in program order.
-  ObserveStoreWithoutFence(s, m)
-      master m sees store s; enabled only while s's issuer has issued no
-      fence.  Updates m's last-observed value for the address.
-  ObserveStoreWithFence(s, m, f)
-      as above, but s's issuer has issued fence f; if s is behind f in
-      program order, m must already have observed everything ahead of f.
-  ObserveLoadHappensBeforeWithFence(l, m, f, s)
-      m (= issuer of l) completes load l before witness store s to the
-      same address; requires no load to have been observed after s yet.
-  ObserveLoadAfterStoreWithFence(l, m, f, s)
-      m completes l after having observed witness s; l joins after(s).
-  ObserveLoadWithoutFence / ObserveLoadAfterStoreWithoutFence
-      the unfenced counterparts; the happens-before guard is dropped.
-  ObserveScRelStore(s, m)
-      release store: m must have observed every program-order predecessor
-      of s, and all atomic stores ordered before s.
-  ObserveScAcqLoad(l, m)
-      acquire load, observed by its issuer; later accesses of that issuer
-      stay unobservable until this fires.
-
-Loads with no store to their address anywhere in the configuration are
-observed through the before-store events with the witness omitted.
+The thirteen transition rules are named in ``EVENT_NAMES``; their guards
+are declared once, as data, in ``RULES``.  The five Issue rules issue the
+next instruction of a master in program order.  The Observe rules make an
+access visible to a master m: a store sets m's last-observed value for its
+address, and a load, observed by its issuer, copies that value into its
+register.  A plain load names a witness store s to its address and is
+observed before s or, once m has observed s, after it (joining after(s)).
+The WithFence rules apply once the access's issuer has issued a fence f,
+the WithoutFence rules before that.  Loads of addresses nothing stores to
+are observed through the before-store rules with the witness omitted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .model import (
+    STORE_KINDS,
     CompiledConfig,
     InstrKind,
     SystemConfig,
@@ -87,13 +72,12 @@ ISSUE_CODE_OF_KIND = {
     InstrKind.SC_ACQ_LOAD: ISSUE_SC_ACQ_LOAD,
 }
 
-ISSUE_CODES = frozenset(
-    {ISSUE_STORE, ISSUE_LOAD, ISSUE_FENCE, ISSUE_SC_REL_STORE, ISSUE_SC_ACQ_LOAD}
-)
+ISSUE_CODES = frozenset(ISSUE_CODE_OF_KIND.values())
 
 
 class GuardFailed(Exception):
-    """An event was fired whose guard does not hold."""
+    """An event was fired whose guard does not hold; ``detail`` says why
+    in words (``grd0`` marks an event that names no rule or instance)."""
 
     def __init__(self, event_name: str, guard: str, detail: str = ""):
         self.event_name = event_name
@@ -101,7 +85,7 @@ class GuardFailed(Exception):
         self.detail = detail
         msg = f"{event_name}: guard {guard} failed"
         if detail:
-            msg += f" ({detail})"
+            msg += f": {detail}"
         super().__init__(msg)
 
 
@@ -231,16 +215,26 @@ def load_return_value(state: MachineState, config: SystemConfig, m: str, l: str)
 # Guards
 # ---------------------------------------------------------------------------
 
-def _acq_preds_observed(cc: CompiledConfig, st: MachineState, x: int) -> bool:
-    # An acquire load blocks observation of everything behind it in its
-    # issuer's program until the issuer has observed it.
-    for a in cc.acq_pred_slots[x]:
-        if st.observers[a] == 0:
-            return False
-    return True
+class Guard(NamedTuple):
+    """One guard of a transition rule.
+
+    ``text`` says what must hold, with ``{x}``, ``{m}``, ``{f}`` and ``{s}``
+    standing for the event's instruction, master, fence and witness store.
+    ``holds(cc, st, x, m, f, s)`` decides it.  ``enumerated`` is True when
+    ``iter_candidate_events`` proposes only events that satisfy it in
+    reachable states, so ``successors`` need not evaluate it.
+    """
+
+    text: str
+    holds: Callable[[CompiledConfig, MachineState, int, int, int, int], object]
+    enumerated: bool = True
 
 
-def _po_fence_ok(cc: CompiledConfig, st: MachineState, x: int, f: int, mbit: int) -> bool:
+def _is_kind(kind: InstrKind) -> Guard:
+    return Guard(f"{{x}} is a {kind.value}", lambda cc, st, x, m, f, s: cc.kind[x] is kind)
+
+
+def _po_fence_ok(cc: CompiledConfig, st: MachineState, x: int, m: int, f: int, s: int) -> bool:
     # If x is not ahead of f, every issued access ahead of f must already
     # be observed by the observing master.
     ahead = cc.ahead_mask[f]
@@ -248,6 +242,7 @@ def _po_fence_ok(cc: CompiledConfig, st: MachineState, x: int, f: int, mbit: int
         return True
     pending = ahead & st.issued
     observers = st.observers
+    mbit = 1 << m
     while pending:
         low = pending & -pending
         if not observers[low.bit_length() - 1] & mbit:
@@ -256,235 +251,137 @@ def _po_fence_ok(cc: CompiledConfig, st: MachineState, x: int, f: int, mbit: int
     return True
 
 
-def _check_issue(cc: CompiledConfig, st: MachineState, code: int, x: int) -> str | None:
-    kind = cc.kind[x]
-    if ISSUE_CODE_OF_KIND[kind] != code:
-        return "grd1"
-    if kind is InstrKind.FENCE:
-        if (st.issuedfence >> x) & 1:
-            return "grd2"
-    elif (st.issued >> x) & 1:
-        return "grd2"
-    if st.cursor[cc.issuer_ix[x]] != cc.index_of[x]:
-        return "grd3"
-    return None
+def _acq_preds_observed(cc: CompiledConfig, st: MachineState, x: int, m: int, f: int, s: int) -> bool:
+    # An acquire load blocks observation of everything behind it in its
+    # issuer's program until the issuer has observed it.
+    for a in cc.acq_pred_slots[x]:
+        if st.observers[a] == 0:
+            return False
+    return True
 
 
-def _check_obs_store_wof(cc: CompiledConfig, st: MachineState, s: int, m: int) -> str | None:
-    if not (st.issued >> s) & 1:
-        return "grd1"
-    if cc.kind[s] is not InstrKind.STORE:
-        return "grd2"
-    if (st.observers[s] >> m) & 1:
-        return "grd3"
-    if st.issuedfence & cc.fence_mask_of_master[cc.issuer_ix[s]]:
-        return "grd4"
-    if not _acq_preds_observed(cc, st, s):
-        return "grd5"
-    return None
-
-
-def _check_obs_store_wf(
-    cc: CompiledConfig, st: MachineState, s: int, m: int, f: int
-) -> str | None:
-    if not (st.issued >> s) & 1:
-        return "grd1"
-    if cc.kind[s] is not InstrKind.STORE:
-        return "grd2"
-    if (st.observers[s] >> m) & 1:
-        return "grd3"
-    if f < 0 or not (st.issuedfence >> f) & 1:
-        return "grd4"
-    if cc.issuer_ix[f] != cc.issuer_ix[s]:
-        return "grd5"
-    if not _po_fence_ok(cc, st, s, f, 1 << m):
-        return "grd6"
-    if not _acq_preds_observed(cc, st, s):
-        return "grd7"
-    return None
-
-
-def _check_witness_before(
-    cc: CompiledConfig, st: MachineState, l: int, m: int, s: int, need_after_empty: bool
-) -> str | None:
-    # Witness store for a before-store observation: any store to the
-    # load's address (issued or not) this master has not observed.  A
-    # missing witness is legal only when no store to the address exists.
-    if s < 0:
-        if cc.stores_to_addr[cc.addr_ix[l]]:
-            return "grd8"
-        return None
-    if cc.kind[s] not in (InstrKind.STORE, InstrKind.SC_REL_STORE):
-        return "grd8"
-    if cc.addr_ix[s] != cc.addr_ix[l]:
-        return "grd9"
-    if (st.observers[s] >> m) & 1:
-        return "grd10"
-    if need_after_empty and st.after[s]:
-        return "grd11"
-    return None
-
-
-def _check_witness_after(
-    cc: CompiledConfig, st: MachineState, l: int, m: int, s: int
-) -> str | None:
-    if s < 0 or not (st.issued >> s) & 1:
-        return "grd8"
-    if cc.kind[s] not in (InstrKind.STORE, InstrKind.SC_REL_STORE):
-        return "grd9"
-    if cc.addr_ix[s] != cc.addr_ix[l]:
-        return "grd10"
-    if not (st.observers[s] >> m) & 1:
-        return "grd11"
-    return None
-
-
-def _check_load_common(cc: CompiledConfig, st: MachineState, l: int, m: int) -> str | None:
-    if not (st.issued >> l) & 1:
-        return "grd1"
-    if cc.kind[l] is not InstrKind.LOAD:
-        return "grd2"
-    if (st.observers[l] >> m) & 1:
-        return "grd3"
-    if cc.issuer_ix[l] != m:
-        return "grd4"
-    return None
-
-
-def _check_obs_load_hb_wf(
-    cc: CompiledConfig, st: MachineState, l: int, m: int, f: int, s: int
-) -> str | None:
-    failed = _check_load_common(cc, st, l, m)
-    if failed:
-        return failed
-    if f < 0 or not (st.issuedfence >> f) & 1:
-        return "grd5"
-    if cc.issuer_ix[f] != m:
-        return "grd6"
-    if not _po_fence_ok(cc, st, l, f, 1 << m):
-        return "grd7"
-    failed = _check_witness_before(cc, st, l, m, s, need_after_empty=True)
-    if failed:
-        return failed
-    if not _acq_preds_observed(cc, st, l):
-        return "grd12"
-    return None
-
-
-def _check_obs_load_as_wf(
-    cc: CompiledConfig, st: MachineState, l: int, m: int, f: int, s: int
-) -> str | None:
-    failed = _check_load_common(cc, st, l, m)
-    if failed:
-        return failed
-    if f < 0 or not (st.issuedfence >> f) & 1:
-        return "grd5"
-    if cc.issuer_ix[f] != m:
-        return "grd6"
-    if not _po_fence_ok(cc, st, l, f, 1 << m):
-        return "grd7"
-    failed = _check_witness_after(cc, st, l, m, s)
-    if failed:
-        return failed
-    if not _acq_preds_observed(cc, st, l):
-        return "grd12"
-    return None
-
-
-def _check_obs_load_wof(
-    cc: CompiledConfig, st: MachineState, l: int, m: int, s: int
-) -> str | None:
-    failed = _check_load_common(cc, st, l, m)
-    if failed:
-        return failed
-    if st.issuedfence & cc.fence_mask_of_master[m]:
-        return "grd5"
-    failed = _check_witness_before(cc, st, l, m, s, need_after_empty=False)
-    if failed:
-        # Renumber: this event has no fence guards before the witness.
-        return {"grd8": "grd6", "grd9": "grd7", "grd10": "grd8"}[failed]
-    if not _acq_preds_observed(cc, st, l):
-        return "grd9"
-    return None
-
-
-def _check_obs_load_as_wof(
-    cc: CompiledConfig, st: MachineState, l: int, m: int, s: int
-) -> str | None:
-    failed = _check_load_common(cc, st, l, m)
-    if failed:
-        return failed
-    if st.issuedfence & cc.fence_mask_of_master[m]:
-        return "grd5"
-    failed = _check_witness_after(cc, st, l, m, s)
-    if failed:
-        return {"grd8": "grd6", "grd9": "grd7", "grd10": "grd8", "grd11": "grd9"}[failed]
-    if not _acq_preds_observed(cc, st, l):
-        return "grd10"
-    return None
-
-
-def _check_obs_rel_store(cc: CompiledConfig, st: MachineState, s: int, m: int) -> str | None:
-    if not (st.issued >> s) & 1:
-        return "grd1"
-    if cc.kind[s] is not InstrKind.SC_REL_STORE:
-        return "grd2"
-    if (st.observers[s] >> m) & 1:
-        return "grd3"
-    mbit = 1 << m
+def _preds_visible(cc: CompiledConfig, st: MachineState, x: int, m: int, f: int, s: int) -> bool:
     # Release: every program-order predecessor access must be visible to
     # the observer before the release store is.
-    for a in cc.pred_access_slots[s]:
-        if not st.observers[a] & mbit:
-            return "grd4"
+    for a in cc.pred_access_slots[x]:
+        if not (st.observers[a] >> m) & 1:
+            return False
+    return True
+
+
+def _atomic_order_ok(cc: CompiledConfig, st: MachineState, x: int, m: int, f: int, s: int) -> bool:
     # Sequential consistency: atomic stores become visible to every master
     # in first-observation order, with no skipping.
     for t in st.atomic_order:
-        if t == s:
+        if t == x:
             break
-        if cc.kind[t] is InstrKind.SC_REL_STORE and not st.observers[t] & mbit:
-            return "grd5"
-    if not _acq_preds_observed(cc, st, s):
-        return "grd6"
-    return None
+        if cc.kind[t] is InstrKind.SC_REL_STORE and not (st.observers[t] >> m) & 1:
+            return False
+    return True
 
 
-def _check_obs_acq_load(cc: CompiledConfig, st: MachineState, l: int, m: int) -> str | None:
-    if not (st.issued >> l) & 1:
-        return "grd1"
-    if cc.kind[l] is not InstrKind.SC_ACQ_LOAD:
-        return "grd2"
-    if (st.observers[l] >> m) & 1:
-        return "grd3"
-    if cc.issuer_ix[l] != m:
-        return "grd4"
-    if not _acq_preds_observed(cc, st, l):
-        return "grd5"
-    return None
+_ISSUE = (
+    Guard("{x} is not yet issued",
+          lambda cc, st, x, m, f, s: not ((st.issued | st.issuedfence) >> x) & 1),
+    Guard("{x} is next in its issuer's program",
+          lambda cc, st, x, m, f, s: st.cursor[cc.issuer_ix[x]] == cc.index_of[x]),
+)
+_ISSUED = Guard("{x} is issued", lambda cc, st, x, m, f, s: (st.issued >> x) & 1)
+_UNSEEN = Guard("{m} has not observed {x}",
+                lambda cc, st, x, m, f, s: not (st.observers[x] >> m) & 1)
+_BY_OBSERVER = Guard("{m} issued {x}", lambda cc, st, x, m, f, s: cc.issuer_ix[x] == m)
+_NO_FENCE = Guard(
+    "the issuer of {x} has issued no fence",
+    lambda cc, st, x, m, f, s: not st.issuedfence & cc.fence_mask_of_master[cc.issuer_ix[x]],
+)
+_FENCED = (
+    Guard("{f} is an issued fence",
+          lambda cc, st, x, m, f, s: f >= 0 and (st.issuedfence >> f) & 1),
+    Guard("{f} and {x} have the same issuer",
+          lambda cc, st, x, m, f, s: cc.issuer_ix[f] == cc.issuer_ix[x]),
+    Guard("{x} is ahead of {f}, or {m} has observed every issued access ahead of {f}",
+          _po_fence_ok, enumerated=False),
+)
+_ACQ_PREDS = Guard("every acquire load before {x} is performed", _acq_preds_observed,
+                   enumerated=False)
+_LOAD = (_ISSUED, _is_kind(InstrKind.LOAD), _UNSEEN, _BY_OBSERVER)
+
+# The witness store of a load observation.  Before-store observations may
+# omit it (s = -1) only when nothing stores to the load's address.
+_WITNESS_STORE = Guard(
+    "{s} is a store, or is absent and nothing stores to the address of {x}",
+    lambda cc, st, x, m, f, s: (
+        cc.kind[s] in STORE_KINDS if s >= 0 else not cc.stores_to_addr[cc.addr_ix[x]]
+    ),
+)
+_WITNESS_ADDRESS = Guard("{s} stores to the address of {x}",
+                         lambda cc, st, x, m, f, s: s < 0 or cc.addr_ix[s] == cc.addr_ix[x])
+_BEFORE_WITNESS = (
+    _WITNESS_STORE,
+    _WITNESS_ADDRESS,
+    Guard("{m} has not observed {s}",
+          lambda cc, st, x, m, f, s: s < 0 or not (st.observers[s] >> m) & 1),
+)
+_AFTER_WITNESS = (
+    Guard("{s} is issued", lambda cc, st, x, m, f, s: s >= 0 and (st.issued >> s) & 1),
+    _WITNESS_STORE,
+    _WITNESS_ADDRESS,
+    Guard("{m} has observed {s}", lambda cc, st, x, m, f, s: (st.observers[s] >> m) & 1),
+)
+_NO_LOAD_AFTER = Guard("no load is observed after {s} yet",
+                       lambda cc, st, x, m, f, s: s < 0 or not st.after[s], enumerated=False)
+
+# The guards of every transition rule, indexed by event code.  A guard's
+# Event-B id ``grdN`` is its position N in its rule, counting from 1.
+RULES: tuple[tuple[Guard, ...], ...] = (
+    (_is_kind(InstrKind.STORE), *_ISSUE),
+    (_is_kind(InstrKind.LOAD), *_ISSUE),
+    (_is_kind(InstrKind.FENCE), *_ISSUE),
+    (_is_kind(InstrKind.SC_REL_STORE), *_ISSUE),
+    (_is_kind(InstrKind.SC_ACQ_LOAD), *_ISSUE),
+    # ObserveStoreWithFence, ObserveStoreWithoutFence
+    (_ISSUED, _is_kind(InstrKind.STORE), _UNSEEN, *_FENCED, _ACQ_PREDS),
+    (_ISSUED, _is_kind(InstrKind.STORE), _UNSEEN, _NO_FENCE, _ACQ_PREDS),
+    # ObserveLoadHappensBeforeWithFence, ObserveLoadAfterStoreWithFence
+    (*_LOAD, *_FENCED, *_BEFORE_WITNESS, _NO_LOAD_AFTER, _ACQ_PREDS),
+    (*_LOAD, *_FENCED, *_AFTER_WITNESS, _ACQ_PREDS),
+    # ObserveLoadWithoutFence, ObserveLoadAfterStoreWithoutFence
+    (*_LOAD, _NO_FENCE, *_BEFORE_WITNESS, _ACQ_PREDS),
+    (*_LOAD, _NO_FENCE, *_AFTER_WITNESS, _ACQ_PREDS),
+    # ObserveScRelStore
+    (
+        _ISSUED,
+        _is_kind(InstrKind.SC_REL_STORE),
+        _UNSEEN,
+        Guard("every access before {x} is visible to {m}", _preds_visible, enumerated=False),
+        Guard("{m} has observed every atomic store ordered before {x}", _atomic_order_ok,
+              enumerated=False),
+        _ACQ_PREDS,
+    ),
+    # ObserveScAcqLoad
+    (_ISSUED, _is_kind(InstrKind.SC_ACQ_LOAD), _UNSEEN, _BY_OBSERVER, _ACQ_PREDS),
+)
+
+# What successors() evaluates per rule: the guards the enumerator does
+# not establish.
+_UNENUMERATED = tuple(tuple(g.holds for g in rule if not g.enumerated) for rule in RULES)
+
+
+def _first_failing(cc: CompiledConfig, st: MachineState, ev: InternalEvent) -> int:
+    """Position of the first failing guard of ev's rule, 0 if all hold."""
+    code, x, m, f, s = ev
+    if not 0 <= code < len(RULES):
+        raise ValueError(f"unknown event code {code}")
+    for n, guard in enumerate(RULES[code], start=1):
+        if not guard.holds(cc, st, x, m, f, s):
+            return n
+    return 0
 
 
 def check_guards(cc: CompiledConfig, st: MachineState, ev: InternalEvent) -> str | None:
     """Return the id of the first failing guard, or None if enabled."""
-    code, x, m, f, s = ev
-    if code in ISSUE_CODES:
-        return _check_issue(cc, st, code, x)
-    if code == OBS_STORE_WOF:
-        return _check_obs_store_wof(cc, st, x, m)
-    if code == OBS_STORE_WF:
-        return _check_obs_store_wf(cc, st, x, m, f)
-    if code == OBS_LOAD_HB_WF:
-        return _check_obs_load_hb_wf(cc, st, x, m, f, s)
-    if code == OBS_LOAD_AS_WF:
-        return _check_obs_load_as_wf(cc, st, x, m, f, s)
-    if code == OBS_LOAD_WOF:
-        return _check_obs_load_wof(cc, st, x, m, s)
-    if code == OBS_LOAD_AS_WOF:
-        return _check_obs_load_as_wof(cc, st, x, m, s)
-    if code == OBS_SC_REL_STORE:
-        return _check_obs_rel_store(cc, st, x, m)
-    if code == OBS_SC_ACQ_LOAD:
-        return _check_obs_acq_load(cc, st, x, m)
-    raise ValueError(f"unknown event code {code}")
+    n = _first_failing(cc, st, ev)
+    return f"grd{n}" if n else None
 
 
 # ---------------------------------------------------------------------------
@@ -607,32 +504,18 @@ def iter_candidate_events(cc: CompiledConfig, st: MachineState) -> Iterator[Inte
             yield (OBS_SC_ACQ_LOAD, l, cc.issuer_ix[l], -1, -1)
 
 
-# check_guards dispatch, flattened to positional parameters for the hot loop.
-_CHECKERS = {
-    OBS_STORE_WOF: lambda cc, st, x, m, f, s: _check_obs_store_wof(cc, st, x, m),
-    OBS_STORE_WF: lambda cc, st, x, m, f, s: _check_obs_store_wf(cc, st, x, m, f),
-    OBS_LOAD_HB_WF: _check_obs_load_hb_wf,
-    OBS_LOAD_AS_WF: _check_obs_load_as_wf,
-    OBS_LOAD_WOF: lambda cc, st, x, m, f, s: _check_obs_load_wof(cc, st, x, m, s),
-    OBS_LOAD_AS_WOF: lambda cc, st, x, m, f, s: _check_obs_load_as_wof(cc, st, x, m, s),
-    OBS_SC_REL_STORE: lambda cc, st, x, m, f, s: _check_obs_rel_store(cc, st, x, m),
-    OBS_SC_ACQ_LOAD: lambda cc, st, x, m, f, s: _check_obs_acq_load(cc, st, x, m),
-    **{
-        code: (lambda cc, st, x, m, f, s, _c=code: _check_issue(cc, st, _c, x))
-        for code in ISSUE_CODES
-    },
-}
-
-
 def successors(
     cc: CompiledConfig, st: MachineState
 ) -> list[tuple[InternalEvent, MachineState]]:
     """Enabled events with their successor states, in a deterministic order."""
-    checkers = _CHECKERS
+    unenumerated = _UNENUMERATED
     out = []
     for ev in iter_candidate_events(cc, st):
         code, x, m, f, s = ev
-        if checkers[code](cc, st, x, m, f, s) is None:
+        for holds in unenumerated[code]:
+            if not holds(cc, st, x, m, f, s):
+                break
+        else:
             out.append((ev, apply_event(cc, st, ev)))
     return out
 
@@ -731,15 +614,27 @@ def enabled_events(state: MachineState, config: SystemConfig) -> set[EventDescri
     return {to_descriptor(cc, ev) for ev, _ in successors(cc, state)}
 
 
+def step(cc: CompiledConfig, state: MachineState, ev: EventDescriptor) -> MachineState:
+    """Successor state for ``ev``; raises GuardFailed quoting the first
+    violated guard, filled with the event's ids, if it is not enabled."""
+    internal = to_internal(cc, ev)
+    n = _first_failing(cc, state, internal)
+    if n:
+        _code, x, m, f, s = internal
+        text = RULES[internal[0]][n - 1].text.format(
+            x=cc.instrs[x].id,
+            m=cc.masters[m] if m >= 0 else "none",
+            f=cc.instrs[f].id if f >= 0 else "none",
+            s=cc.instrs[s].id if s >= 0 else "none",
+        )
+        raise GuardFailed(ev.name, f"grd{n}", f"{text} (params {ev.params()})")
+    return apply_event(cc, state, internal)
+
+
 def fire(state: MachineState, config: SystemConfig, ev: EventDescriptor) -> MachineState:
     """Successor state for ``ev``; raises GuardFailed naming the first
     violated guard if the event is not enabled."""
-    cc = compile_config(config)
-    internal = to_internal(cc, ev)
-    failed = check_guards(cc, state, internal)
-    if failed is not None:
-        raise GuardFailed(ev.name, failed, f"params {ev.params()}")
-    return apply_event(cc, state, internal)
+    return step(compile_config(config), state, ev)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from typing import Mapping
 
 from . import kernel
 from .explorer import (
+    DEFAULT_MAX_STATES,
     RegisterMap,
     StateLimitExceeded,
     Trace,
@@ -38,8 +39,6 @@ from .litmus import (
     parse,
 )
 from .model import SystemConfig, compile_config
-
-DEFAULT_MAX_STATES = 10_000_000
 
 
 class Unreachable(Exception):
@@ -278,9 +277,7 @@ def verify_test(doc: str | TestCase) -> VerifyResult:
             }
             if extra:
                 problems.append(f"trace fires events outside mustCover: {sorted(extra)}")
-    watched_mask = 0
-    for lid in test.watched_loads:
-        watched_mask |= 1 << cc.slot(lid)
+    watched_mask = _watched_mask(cc, test.watched_loads)
     if (final.observed & watched_mask) != watched_mask:
         problems.append("trace leaves watched loads unobserved")
     return VerifyResult(not problems, problems)

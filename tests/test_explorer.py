@@ -14,6 +14,7 @@ from memlit.explorer import (
     explore,
     explore_test,
     replay,
+    replay_states,
 )
 from memlit.kernel import EventDescriptor, fire, init_state, successors
 from memlit.litmus import parse
@@ -286,6 +287,22 @@ class TestReplay:
             replay(iriw_fence.config, (EventDescriptor(name="IssueStore", s="I12"),))
         assert err.value.step == 0
         assert err.value.cause.guard == "grd3"
+
+    @pytest.mark.parametrize("enforce_guards", [True, False])
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_unknown_event_reports_its_step(self, iriw_fence, k, enforce_guards):
+        good = (
+            EventDescriptor(name="IssueStore", s="I11"),
+            EventDescriptor(name="IssueStore", s="I12"),
+        )
+        trace = good[:k] + (EventDescriptor(name="NotAnEvent", s="I11"),)
+        with pytest.raises(ReplayError) as err:
+            if enforce_guards:
+                replay(iriw_fence.config, trace)
+            else:
+                replay_states(iriw_fence.config, trace, enforce_guards=False)
+        assert err.value.step == k
+        assert err.value.cause.guard == "grd0"
 
     def test_counterexample_prefixes_replay(self, iriw_nofence):
         v = check_outcome(iriw_nofence)

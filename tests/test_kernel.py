@@ -298,6 +298,10 @@ class TestAtomicGuards:
         with pytest.raises(GuardFailed) as err:
             fire(st, cfg, EventDescriptor(name="ObserveScRelStore", s="I12", m="M3"))
         assert err.value.guard == "grd4"
+        assert str(err.value) == (
+            "ObserveScRelStore: guard grd4 failed: every access before I12 is visible "
+            "to M3 (params {'s': 'I12', 'm': 'M3'})"
+        )
         st = fire(st, cfg, EventDescriptor(name="ObserveScRelStore", s="I11", m="M3"))
         st = fire(st, cfg, EventDescriptor(name="ObserveScRelStore", s="I12", m="M3"))
         cc = compile_config(cfg)
