@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
 from .model import (
+    LOAD_KINDS,
     STORE_KINDS,
     CompiledConfig,
     InstrKind,
@@ -262,9 +263,13 @@ def _acq_preds_observed(cc: CompiledConfig, st: MachineState, x: int, m: int, f:
 
 def _preds_visible(cc: CompiledConfig, st: MachineState, x: int, m: int, f: int, s: int) -> bool:
     # Release: every program-order predecessor access must be visible to
-    # the observer before the release store is.
+    # the observer before the release store is.  Only its issuer observes
+    # a load, so an earlier load need only be performed.
     for a in cc.pred_access_slots[x]:
-        if not (st.observers[a] >> m) & 1:
+        if cc.kind[a] in LOAD_KINDS:
+            if not st.observers[a]:
+                return False
+        elif not (st.observers[a] >> m) & 1:
             return False
     return True
 
@@ -356,7 +361,6 @@ RULES: tuple[tuple[Guard, ...], ...] = (
         Guard("every access before {x} is visible to {m}", _preds_visible, enumerated=False),
         Guard("{m} has observed every atomic store ordered before {x}", _atomic_order_ok,
               enumerated=False),
-        _ACQ_PREDS,
     ),
     # ObserveScAcqLoad
     (_ISSUED, _is_kind(InstrKind.SC_ACQ_LOAD), _UNSEEN, _BY_OBSERVER, _ACQ_PREDS),

@@ -75,6 +75,20 @@ class TestCheck:
         assert len(err.splitlines()) == 1
         assert "outcome nests too deeply" in err
 
+    @pytest.mark.parametrize("load", ["LD R1 a1", "SCLD.ACQ R1 a1"])
+    def test_release_store_after_load_becomes_visible(self, capsys, tmp_path, load):
+        # Sequential consistency reaches M2:R2 = 1 by running M1 first.
+        path = tmp_path / "rel.litmus"
+        path.write_text(
+            'litmus "rel-after-load"\n'
+            f"master M1 {{ I11: {load}; I12: SCST.REL a2 #1; }}\n"
+            "master M2 { I21: LD R2 a2; }\n"
+            "allowed M2:R2 = 1\n"
+        )
+        code, out, _ = run_cli(capsys, "check", str(path), "--json")
+        assert code == 0
+        assert json.loads(out)["verdict"] == "Reachable"
+
     def test_workers_flag_same_verdict(self, capsys, fence_path):
         code, out, _ = run_cli(capsys, "check", fence_path, "--workers", "4", "--json")
         assert code == 0

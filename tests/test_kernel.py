@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memlit.kernel import (
+    EVENT_NAMES,
     ISSUE_CODES,
+    RULES,
     EventDescriptor,
     GuardFailed,
     NotAFence,
@@ -418,6 +420,78 @@ class TestEnumerationCompleteness:
                 ev for ev in all_event_instances(cc) if check_guards(cc, st, ev) is None
             }
             assert fast == swept
+
+
+class TestGuardRows:
+    """Every declared guard is the first failing guard of some event
+    instance in a reachable state: no rule carries a dead row."""
+
+    CONFIGS = [
+        # IRIW-style: M2's load observed after the store blocks M3's
+        # before-store observation of its own load.
+        {
+            "M1": [(InstrKind.STORE, "a1", 1)],
+            "M2": [(InstrKind.LOAD, "a1", "R1"), (InstrKind.FENCE,)],
+            "M3": [(InstrKind.LOAD, "a1", "R1"), (InstrKind.FENCE,)],
+        },
+        # A fenced load behind its master's own unobserved store.
+        {
+            "M1": [(InstrKind.STORE, "a1", 1), (InstrKind.FENCE,), (InstrKind.LOAD, "a2", "R1")],
+            "M2": [(InstrKind.STORE, "a2", 1), (InstrKind.LOAD, "a1", "R2")],
+        },
+        {
+            "M1": [
+                (InstrKind.FENCE,),
+                (InstrKind.SC_ACQ_LOAD, "a1", "R1"),
+                (InstrKind.LOAD, "a2", "R2"),
+            ],
+            "M2": [(InstrKind.STORE, "a2", 1)],
+        },
+        {
+            "M1": [
+                (InstrKind.SC_ACQ_LOAD, "a1", "R1"),
+                (InstrKind.LOAD, "a2", "R2"),
+                (InstrKind.STORE, "a1", 1),
+            ],
+            "M2": [(InstrKind.STORE, "a2", 1)],
+        },
+        {"M1": [(InstrKind.STORE, "a1", 1), (InstrKind.FENCE,), (InstrKind.STORE, "a2", 1)]},
+        {
+            "M1": [
+                (InstrKind.FENCE,),
+                (InstrKind.SC_ACQ_LOAD, "a1", "R1"),
+                (InstrKind.SC_ACQ_LOAD, "a2", "R2"),
+                (InstrKind.STORE, "a1", 1),
+            ],
+        },
+        {
+            "M1": [(InstrKind.STORE, "a1", 1), (InstrKind.SC_REL_STORE, "a2", 1)],
+            "M2": [(InstrKind.SC_REL_STORE, "a1", 2), (InstrKind.SC_ACQ_LOAD, "a2", "R1")],
+        },
+    ]
+
+    def test_every_guard_fails_first_somewhere(self):
+        first_failing = set()
+        for programs in self.CONFIGS:
+            cfg = make_config(programs)
+            cc = compile_config(cfg)
+            seen = {init_state(cfg)}
+            stack = list(seen)
+            while stack:
+                st = stack.pop()
+                for ev in all_event_instances(cc):
+                    first_failing.add((EVENT_NAMES[ev[0]], check_guards(cc, st, ev)))
+                for _, nxt in successors(cc, st):
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        stack.append(nxt)
+        dead = [
+            (name, f"grd{n}")
+            for name, rule in zip(EVENT_NAMES, RULES)
+            for n in range(1, len(rule) + 1)
+            if (name, f"grd{n}") not in first_failing
+        ]
+        assert dead == []
 
 
 class TestTraceProperties:
