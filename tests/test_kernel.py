@@ -1,6 +1,7 @@
 """Kernel semantics: initialisation, guards, actions, state invariants."""
 
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -564,3 +565,10 @@ def test_apply_event_matches_fire(data):
         ev, nxt = rng.choice(succ)
         assert fire(state, cfg, to_descriptor(cc, ev)) == nxt == apply_event(cc, state, ev)
         state = nxt
+
+
+def test_readme_event_roster_matches_rules():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    roster = readme.split("## Events", 1)[1].split("```", 2)[1]
+    assert tuple(roster.split()) == EVENT_NAMES
+    assert len(RULES) == len(EVENT_NAMES)
