@@ -624,8 +624,8 @@ def step(cc: CompiledConfig, state: MachineState, ev: EventDescriptor) -> Machin
     internal = to_internal(cc, ev)
     n = _first_failing(cc, state, internal)
     if n:
-        _code, x, m, f, s = internal
-        text = RULES[internal[0]][n - 1].text.format(
+        code, x, m, f, s = internal
+        text = RULES[code][n - 1].text.format(
             x=cc.instrs[x].id,
             m=cc.masters[m] if m >= 0 else "none",
             f=cc.instrs[f].id if f >= 0 else "none",
