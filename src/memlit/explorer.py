@@ -23,10 +23,11 @@ from .kernel import (
     Violation,
     apply_event,
     check_state_invariants,
-    init_state,
+    register_file,
     successors,
     to_descriptor,
     to_internal,
+    unpack,
 )
 from .litmus import LitmusTest, OutcomeMode
 from .model import CompiledConfig, InstrKind, SystemConfig, compile_config
@@ -129,6 +130,13 @@ def _watched_mask(cc: CompiledConfig, watched_loads: frozenset[str] | None) -> i
             raise ValueError(f"watched instruction {lid} is not a load")
         mask |= 1 << slot
     return mask
+
+
+def _watched_observers(cc: CompiledConfig, watched_loads: frozenset[str] | None) -> int:
+    """Observer bits of packed states in which every watched load is
+    observed: only its issuer observes a load."""
+    slots = _watched_mask(cc, watched_loads)
+    return sum(cc.obs_bit[x][cc.issuer_ix[x]] for x in range(cc.n_instr) if (slots >> x) & 1)
 
 
 def explore(
@@ -247,41 +255,54 @@ def _explore_full(
     watched_loads: frozenset[str] | None,
     name: str,
     stop_predicate,
-) -> tuple[ExplorationResult, _Space, MachineState | None]:
+) -> tuple[ExplorationResult, _Space, int | None]:
+    """Search the packed states of ``config``.  ``stop_predicate``, if
+    given, sees the rf field (``kernel.registers``) of each trigger state
+    with a register file not seen before, and stops the search at the
+    first for which it returns True."""
     cc = compile_config(config)
     watching = watched_loads is not None
-    watched = _watched_mask(cc, watched_loads)
-    # Trigger register files, each with the first state that reached it.
-    triggers: dict[tuple[tuple[int, ...], ...], MachineState] = {}
+    watched = _watched_observers(cc, watched_loads)
+    rf_shift, rf_mask = cc.rf_shift, cc.rf_mask
+    # Trigger rf fields, each with the first state that reached it.
+    triggers: dict[int, int] = {}
     violations: list[Violation] = []
 
-    def visit(st: MachineState) -> bool:
+    def visit(p: int) -> bool:
         """Invariant and trigger bookkeeping; True stops the search here."""
         if check_invariants:
-            violations.extend(check_state_invariants(st, config))
+            violations.extend(check_state_invariants(unpack(cc, p), config))
             if violations:
                 return True
-        if (st.observed & watched) != watched:
+        if p & watched != watched:
             return False
-        if watching:
-            triggers.setdefault(st.rf, st)
-        return stop_predicate is not None and stop_predicate(st)
+        rf = (p >> rf_shift) & rf_mask
+        if rf in triggers:
+            return False
+        triggers[rf] = p
+        return stop_predicate is not None and stop_predicate(rf)
 
-    space = _bfs(init_state(config), partial(successors, cc), visit, max_states)
+    space = _bfs(cc.initial_state, partial(successors, cc), visit, max_states)
     if violations:
         raise InvariantViolated(violations, space.trace_to(cc, space.stop))
 
+    final_states = [unpack(cc, p) for p in space.finals]
     result = ExplorationResult(
         name=name,
         state_count=len(space.parents),
         transition_count=space.transitions,
-        final_states=space.finals,
-        final_register_maps=frozenset(st.rf for st in space.finals),
+        final_states=final_states,
+        final_register_maps=frozenset(st.rf for st in final_states),
         event_tally={kernel.EVENT_NAMES[i]: n for i, n in enumerate(space.tally)},
-        trigger_register_maps=frozenset(triggers) if watching else None,
+        trigger_register_maps=(
+            frozenset(register_file(cc, rf) for rf in triggers) if watching else None
+        ),
         watched_loads=watched_loads if watching else None,
         compiled=cc,
-        witness=space.trace_to(cc, next(iter(triggers.values()))) if triggers else None,
+        witness=(
+            space.trace_to(cc, next(iter(triggers.values())))
+            if watching and triggers else None
+        ),
     )
     return result, space, space.stop
 
@@ -339,11 +360,11 @@ class Verdict:
 
 
 def _compiled_predicate(cc: CompiledConfig, test: LitmusTest):
+    """The outcome predicate as a function of an rf field."""
     pred = test.outcome
 
-    def evaluate(state: MachineState) -> bool:
-        rf = _rf_snapshot(cc, state.rf)
-        return pred.evaluate(rf)
+    def evaluate(rf: int) -> bool:
+        return pred.evaluate(_rf_snapshot(cc, register_file(cc, rf)))
 
     return evaluate
 
@@ -359,12 +380,14 @@ def check_outcome(
     forbidden: the predicate must be unsatisfiable at trigger states.
     required: the predicate must hold at every trigger state.
     allowed:  report whether some trigger state satisfies it.
+
+    The predicate runs once per distinct register file at trigger states.
     """
     cc = compile_config(test.config)
     evaluate = _compiled_predicate(cc, test)
     mode = test.outcome_mode
     if mode is OutcomeMode.REQUIRED:
-        stop = lambda st: not evaluate(st)  # noqa: E731 - search for a refutation
+        stop = lambda rf: not evaluate(rf)  # noqa: E731 - search for a refutation
     else:
         stop = evaluate
 
@@ -393,7 +416,8 @@ def check_outcome(
 
 def replay(config: SystemConfig, trace: Trace) -> MachineState:
     """Fold ``fire`` over the trace from the initial state."""
-    return replay_states(config, trace)[-1]
+    cc, states = _replay(config, trace, enforce_guards=True)
+    return unpack(cc, states[-1])
 
 
 def replay_states(
@@ -405,19 +429,27 @@ def replay_states(
     With ``enforce_guards`` off, actions are applied regardless of guard
     failures so ordering checkers can judge corrupted sequences.
     """
+    cc, states = _replay(config, trace, enforce_guards)
+    return [unpack(cc, p) for p in states]
+
+
+def _replay(
+    config: SystemConfig, trace: Trace, enforce_guards: bool
+) -> tuple[CompiledConfig, list[int]]:
+    """The packed states of a replay."""
     cc = compile_config(config)
-    st = init_state(config)
-    states = [st]
+    p = cc.initial_state
+    states = [p]
     for i, ev in enumerate(trace):
         try:
             if enforce_guards:
-                st = kernel.step(cc, st, ev)
+                p = kernel.step(cc, p, ev)
             else:
-                st = apply_event(cc, st, to_internal(cc, ev))
+                p = apply_event(cc, p, to_internal(cc, ev))
         except kernel.GuardFailed as e:
             raise ReplayError(i, e) from None
-        states.append(st)
-    return states
+        states.append(p)
+    return cc, states
 
 
 # ---------------------------------------------------------------------------

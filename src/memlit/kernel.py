@@ -1,9 +1,11 @@
 """Guarded-transition semantics of the weak-memory machine.
 
-States are immutable; ``fire`` computes successors without mutating its
-inputs.  Every event is a (name, parameter binding) pair; guards gate
-enabledness and actions build the successor.  Masks are over instruction
-slots / master indices of the compiled configuration (see ``model``).
+The core works on packed states: one int per machine state, laid out by
+``CompiledConfig`` (see ``model``).  ``MachineState`` is the public view
+of such an int; ``pack`` and ``unpack`` convert at the API boundary.
+Every event is a (name, parameter binding) pair; guards gate enabledness
+and actions build the successor.  Masks are over instruction slots /
+master indices of the compiled configuration.
 
 The thirteen transition rules are named in ``EVENT_NAMES``; their guards
 are declared once, as data, in ``RULES``.  The five Issue rules issue the
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
 from .model import (
-    LOAD_KINDS,
+    ISSUE_CODE_OF_KIND,
     STORE_KINDS,
     CompiledConfig,
     InstrKind,
@@ -65,14 +67,6 @@ EVENT_NAMES = (
 
 EVENT_CODE = {name: code for code, name in enumerate(EVENT_NAMES)}
 
-ISSUE_CODE_OF_KIND = {
-    InstrKind.STORE: ISSUE_STORE,
-    InstrKind.LOAD: ISSUE_LOAD,
-    InstrKind.FENCE: ISSUE_FENCE,
-    InstrKind.SC_REL_STORE: ISSUE_SC_REL_STORE,
-    InstrKind.SC_ACQ_LOAD: ISSUE_SC_ACQ_LOAD,
-}
-
 ISSUE_CODES = frozenset(ISSUE_CODE_OF_KIND.values())
 
 
@@ -99,13 +93,14 @@ class NotAFence(Exception):
 
 
 class MachineState(NamedTuple):
-    """Machine variables; all components are canonical and hashable.
+    """Machine variables: the public view of a packed state.
 
     issued/observed/issuedfence are instruction-slot masks, observers and
     after map instruction slots to master/load masks, lov and rf are value
     grids indexed [master][address] / [master][register], cursor holds the
     next 1-based program position per master, and atomic_order lists
-    atomic accesses in first-observation order.
+    atomic accesses in first-observation order.  issued, issuedfence,
+    observed and cursor are derived; ``pack`` ignores them.
     """
 
     issued: int
@@ -166,21 +161,80 @@ class Violation:
     message: str
 
 
+# ---------------------------------------------------------------------------
+# Packed states
+# ---------------------------------------------------------------------------
+
+def registers(cc: CompiledConfig, p: int) -> int:
+    """The rf field of packed state p: equal fields, equal register files."""
+    return (p >> cc.rf_shift) & cc.rf_mask
+
+
+def register_file(cc: CompiledConfig, rf: int) -> tuple[tuple[int, ...], ...]:
+    """The rf grid [master][register] that an rf field encodes."""
+    return _grid(cc, rf << cc.rf_shift, cc.reg_shift)
+
+
+def _grid(cc: CompiledConfig, p: int, shifts) -> tuple[tuple[int, ...], ...]:
+    values, mask = cc.values, cc.value_mask
+    return tuple([tuple([values[(p >> sh) & mask] for sh in row]) for row in shifts])
+
+
+def unpack(cc: CompiledConfig, p: int) -> MachineState:
+    """The MachineState view of packed state p."""
+    all_m = cc.all_masters_mask
+    observers = tuple([(p >> sh) & all_m for sh in cc.obs_shift])
+    after = [0] * cc.n_instr
+    for s, field in enumerate(cc.after_field):
+        if p & field:
+            after[s] = sum([1 << l for l, bit in enumerate(cc.after_bit[s]) if p & bit])
+    ranked = sorted([((p >> sh) & cc.rank_mask, x) for x, sh in enumerate(cc.rank_shift) if sh])
+    return MachineState(
+        issued=p & cc.access_mask,
+        observed=sum([1 << x for x, obs in enumerate(observers) if obs]),
+        observers=observers,
+        lov=_grid(cc, p, cc.lov_shift),
+        rf=_grid(cc, p, cc.reg_shift),
+        issuedfence=p & cc.fence_mask,
+        after=tuple(after),
+        cursor=tuple([1 + (p & prog).bit_count() for prog in cc.program_mask]),
+        atomic_order=tuple([x for rank, x in ranked if rank]),
+    )
+
+
+def pack(cc: CompiledConfig, state: MachineState) -> int:
+    """Packed form of a state; the inverse of ``unpack`` on every state
+    the kernel reaches.  Raises ValueError for a state the layout cannot
+    hold: a value outside the domain, or an after pair or atomic-order
+    entry no event can produce."""
+    try:
+        p = state.issued | state.issuedfence
+        for sh, obs in zip(cc.obs_shift, state.observers):
+            p |= obs << sh
+        for grid, shifts in ((state.lov, cc.lov_shift), (state.rf, cc.reg_shift)):
+            for row, row_shifts in zip(grid, shifts):
+                for v, sh in zip(row, row_shifts):
+                    p |= cc.value_index[v] << sh
+        for s, loads in enumerate(state.after):
+            for l in range(cc.n_instr):
+                if (loads >> l) & 1:
+                    if not cc.after_bit[s][l]:
+                        raise ValueError(f"after({s}) holds slot {l}")
+                    p |= cc.after_bit[s][l]
+        for rank, x in enumerate(state.atomic_order, start=1):
+            if not cc.rank_shift[x]:
+                raise ValueError(f"slot {x} in atomic order is not atomic")
+            p |= rank << cc.rank_shift[x]
+    except KeyError as e:
+        raise ValueError(f"value {e} outside the domain") from None
+    return p
+
+
 def init_state(config: SystemConfig) -> MachineState:
     """Initial state: nothing issued, memory at its initial values,
     every register at 0."""
     cc = compile_config(config)
-    return MachineState(
-        issued=0,
-        observed=0,
-        observers=(0,) * cc.n_instr,
-        lov=cc.initial_lov,
-        rf=cc.initial_rf,
-        issuedfence=0,
-        after=(0,) * cc.n_instr,
-        cursor=(1,) * cc.n_masters,
-        atomic_order=(),
-    )
+    return unpack(cc, cc.initial_state)
 
 
 def ahead_of(config: SystemConfig, fence_id: str) -> frozenset[str]:
@@ -221,89 +275,89 @@ class Guard(NamedTuple):
 
     ``text`` says what must hold, with ``{x}``, ``{m}``, ``{f}`` and ``{s}``
     standing for the event's instruction, master, fence and witness store.
-    ``holds(cc, st, x, m, f, s)`` decides it.  ``enumerated`` is True when
-    ``iter_candidate_events`` proposes only events that satisfy it in
-    reachable states, so ``successors`` need not evaluate it.
+    ``holds(cc, p, x, m, f, s)`` decides it on packed state p.
+    ``enumerated`` is True when ``iter_candidate_events`` proposes only
+    events that satisfy it in reachable states, so ``successors`` need not
+    evaluate it.
     """
 
     text: str
-    holds: Callable[[CompiledConfig, MachineState, int, int, int, int], object]
+    holds: Callable[[CompiledConfig, int, int, int, int, int], object]
     enumerated: bool = True
 
 
 def _is_kind(kind: InstrKind) -> Guard:
-    return Guard(f"{{x}} is a {kind.value}", lambda cc, st, x, m, f, s: cc.kind[x] is kind)
+    return Guard(f"{{x}} is a {kind.value}", lambda cc, p, x, m, f, s: cc.kind[x] is kind)
 
 
-def _po_fence_ok(cc: CompiledConfig, st: MachineState, x: int, m: int, f: int, s: int) -> bool:
+def _issued(cc: CompiledConfig, p: int, x: int) -> int:
+    return ((p & cc.access_mask) >> x) & 1
+
+
+def _po_fence_ok(cc: CompiledConfig, p: int, x: int, m: int, f: int, s: int) -> bool:
     # If x is not ahead of f, every issued access ahead of f must already
-    # be observed by the observing master.
-    ahead = cc.ahead_mask[f]
-    if (ahead >> x) & 1:
+    # be observed by the observing master.  Issue follows program order,
+    # so once f is issued every access ahead of it is.
+    if (cc.ahead_mask[f] >> x) & 1:
         return True
-    pending = ahead & st.issued
-    observers = st.observers
-    mbit = 1 << m
-    while pending:
-        low = pending & -pending
-        if not observers[low.bit_length() - 1] & mbit:
-            return False
-        pending ^= low
-    return True
+    need = cc.ahead_obs[f][m]
+    return p & need == need
 
 
-def _acq_preds_observed(cc: CompiledConfig, st: MachineState, x: int, m: int, f: int, s: int) -> bool:
+def _acq_preds_observed(cc: CompiledConfig, p: int, x: int, m: int, f: int, s: int) -> bool:
     # An acquire load blocks observation of everything behind it in its
     # issuer's program until the issuer has observed it.
     for a in cc.acq_pred_slots[x]:
-        if st.observers[a] == 0:
+        if not p & cc.obs_field[a]:
             return False
     return True
 
 
-def _preds_visible(cc: CompiledConfig, st: MachineState, x: int, m: int, f: int, s: int) -> bool:
+def _preds_visible(cc: CompiledConfig, p: int, x: int, m: int, f: int, s: int) -> bool:
     # Release: every program-order predecessor access must be visible to
     # the observer before the release store is.  Only its issuer observes
     # a load, so an earlier load need only be performed.
     for a in cc.pred_access_slots[x]:
-        if cc.kind[a] in LOAD_KINDS:
-            if not st.observers[a]:
-                return False
-        elif not (st.observers[a] >> m) & 1:
+        if not p & (cc.obs_field[a] if cc.is_load[a] else cc.obs_bit[a][m]):
             return False
     return True
 
 
-def _atomic_order_ok(cc: CompiledConfig, st: MachineState, x: int, m: int, f: int, s: int) -> bool:
+def _rank(cc: CompiledConfig, p: int, x: int) -> int:
+    """x's position in the atomic order, counting from 1; 0 if absent."""
+    return (p >> cc.rank_shift[x]) & cc.rank_mask if cc.rank_shift[x] else 0
+
+
+def _atomic_order_ok(cc: CompiledConfig, p: int, x: int, m: int, f: int, s: int) -> bool:
     # Sequential consistency: atomic stores become visible to every master
     # in first-observation order, with no skipping.
-    for t in st.atomic_order:
-        if t == x:
-            break
-        if cc.kind[t] is InstrKind.SC_REL_STORE and not (st.observers[t] >> m) & 1:
+    rank = _rank(cc, p, x)
+    for t in cc.rel_store_slots:
+        r = _rank(cc, p, t)
+        if r and (not rank or r < rank) and not p & cc.obs_bit[t][m]:
             return False
     return True
 
 
 _ISSUE = (
-    Guard("{x} is not yet issued",
-          lambda cc, st, x, m, f, s: not ((st.issued | st.issuedfence) >> x) & 1),
+    Guard("{x} is not yet issued", lambda cc, p, x, m, f, s: not (p >> x) & 1),
     Guard("{x} is next in its issuer's program",
-          lambda cc, st, x, m, f, s: st.cursor[cc.issuer_ix[x]] == cc.index_of[x]),
+          lambda cc, p, x, m, f, s: (
+              1 + (p & cc.program_mask[cc.issuer_ix[x]]).bit_count() == cc.index_of[x]
+          )),
 )
-_ISSUED = Guard("{x} is issued", lambda cc, st, x, m, f, s: (st.issued >> x) & 1)
-_UNSEEN = Guard("{m} has not observed {x}",
-                lambda cc, st, x, m, f, s: not (st.observers[x] >> m) & 1)
-_BY_OBSERVER = Guard("{m} issued {x}", lambda cc, st, x, m, f, s: cc.issuer_ix[x] == m)
+_ISSUED = Guard("{x} is issued", lambda cc, p, x, m, f, s: _issued(cc, p, x))
+_UNSEEN = Guard("{m} has not observed {x}", lambda cc, p, x, m, f, s: not p & cc.obs_bit[x][m])
+_BY_OBSERVER = Guard("{m} issued {x}", lambda cc, p, x, m, f, s: cc.issuer_ix[x] == m)
 _NO_FENCE = Guard(
     "the issuer of {x} has issued no fence",
-    lambda cc, st, x, m, f, s: not st.issuedfence & cc.fence_mask_of_master[cc.issuer_ix[x]],
+    lambda cc, p, x, m, f, s: not p & cc.fence_mask_of_master[cc.issuer_ix[x]],
 )
 _FENCED = (
     Guard("{f} is an issued fence",
-          lambda cc, st, x, m, f, s: f >= 0 and (st.issuedfence >> f) & 1),
+          lambda cc, p, x, m, f, s: f >= 0 and ((p & cc.fence_mask) >> f) & 1),
     Guard("{f} and {x} have the same issuer",
-          lambda cc, st, x, m, f, s: cc.issuer_ix[f] == cc.issuer_ix[x]),
+          lambda cc, p, x, m, f, s: cc.issuer_ix[f] == cc.issuer_ix[x]),
     Guard("{x} is ahead of {f}, or {m} has observed every issued access ahead of {f}",
           _po_fence_ok, enumerated=False),
 )
@@ -315,26 +369,26 @@ _LOAD = (_ISSUED, _is_kind(InstrKind.LOAD), _UNSEEN, _BY_OBSERVER)
 # omit it (s = -1) only when nothing stores to the load's address.
 _WITNESS_STORE = Guard(
     "{s} is a store, or is absent and nothing stores to the address of {x}",
-    lambda cc, st, x, m, f, s: (
+    lambda cc, p, x, m, f, s: (
         cc.kind[s] in STORE_KINDS if s >= 0 else not cc.stores_to_addr[cc.addr_ix[x]]
     ),
 )
 _WITNESS_ADDRESS = Guard("{s} stores to the address of {x}",
-                         lambda cc, st, x, m, f, s: s < 0 or cc.addr_ix[s] == cc.addr_ix[x])
+                         lambda cc, p, x, m, f, s: s < 0 or cc.addr_ix[s] == cc.addr_ix[x])
 _BEFORE_WITNESS = (
     _WITNESS_STORE,
     _WITNESS_ADDRESS,
-    Guard("{m} has not observed {s}",
-          lambda cc, st, x, m, f, s: s < 0 or not (st.observers[s] >> m) & 1),
+    Guard("{m} has not observed {s}", lambda cc, p, x, m, f, s: s < 0 or not p & cc.obs_bit[s][m]),
 )
 _AFTER_WITNESS = (
-    Guard("{s} is issued", lambda cc, st, x, m, f, s: s >= 0 and (st.issued >> s) & 1),
+    Guard("{s} is issued", lambda cc, p, x, m, f, s: s >= 0 and _issued(cc, p, s)),
     _WITNESS_STORE,
     _WITNESS_ADDRESS,
-    Guard("{m} has observed {s}", lambda cc, st, x, m, f, s: (st.observers[s] >> m) & 1),
+    Guard("{m} has observed {s}", lambda cc, p, x, m, f, s: p & cc.obs_bit[s][m]),
 )
 _NO_LOAD_AFTER = Guard("no load is observed after {s} yet",
-                       lambda cc, st, x, m, f, s: s < 0 or not st.after[s], enumerated=False)
+                       lambda cc, p, x, m, f, s: s < 0 or not p & cc.after_field[s],
+                       enumerated=False)
 
 # The guards of every transition rule, indexed by event code.  A guard's
 # Event-B id ``grdN`` is its position N in its rule, counting from 1.
@@ -371,20 +425,21 @@ RULES: tuple[tuple[Guard, ...], ...] = (
 _UNENUMERATED = tuple(tuple(g.holds for g in rule if not g.enumerated) for rule in RULES)
 
 
-def _first_failing(cc: CompiledConfig, st: MachineState, ev: InternalEvent) -> int:
+def _first_failing(cc: CompiledConfig, p: int, ev: InternalEvent) -> int:
     """Position of the first failing guard of ev's rule, 0 if all hold."""
     code, x, m, f, s = ev
     if not 0 <= code < len(RULES):
         raise ValueError(f"unknown event code {code}")
     for n, guard in enumerate(RULES[code], start=1):
-        if not guard.holds(cc, st, x, m, f, s):
+        if not guard.holds(cc, p, x, m, f, s):
             return n
     return 0
 
 
-def check_guards(cc: CompiledConfig, st: MachineState, ev: InternalEvent) -> str | None:
-    """Return the id of the first failing guard, or None if enabled."""
-    n = _first_failing(cc, st, ev)
+def check_guards(cc: CompiledConfig, p: int, ev: InternalEvent) -> str | None:
+    """Return the id of the first failing guard in packed state p, or None
+    if the event is enabled."""
+    n = _first_failing(cc, p, ev)
     return f"grd{n}" if n else None
 
 
@@ -392,76 +447,58 @@ def check_guards(cc: CompiledConfig, st: MachineState, ev: InternalEvent) -> str
 # Actions
 # ---------------------------------------------------------------------------
 
-def _set_slot(tup: tuple[int, ...], i: int, v: int) -> tuple[int, ...]:
-    return tup[:i] + (v,) + tup[i + 1 :]
-
-
-def _set_grid(
-    grid: tuple[tuple[int, ...], ...], m: int, i: int, v: int
-) -> tuple[tuple[int, ...], ...]:
-    row = grid[m]
-    if row[i] == v:
-        return grid
-    return grid[:m] + (_set_slot(row, i, v),) + grid[m + 1 :]
-
-
-def apply_event(cc: CompiledConfig, st: MachineState, ev: InternalEvent) -> MachineState:
-    """Successor state for an enabled event (guards are not re-checked)."""
+def apply_event(cc: CompiledConfig, p: int, ev: InternalEvent) -> int:
+    """Successor of packed state p for an enabled event (guards are not
+    re-checked)."""
     code, x, m, f, s = ev
-    issued, observed, observers, lov, rf, issuedfence, after, cursor, order = st
     if code in ISSUE_CODES:
-        mi = cc.issuer_ix[x]
-        cursor = _set_slot(cursor, mi, cursor[mi] + 1)
-        if code == ISSUE_FENCE:
-            return MachineState(
-                issued, observed, observers, lov, rf, issuedfence | (1 << x), after, cursor, order
-            )
-        return MachineState(
-            issued | (1 << x), observed, observers, lov, rf, issuedfence, after, cursor, order
-        )
-
-    observed |= 1 << x
-    observers = _set_slot(observers, x, observers[x] | (1 << m))
-    if code in (OBS_STORE_WOF, OBS_STORE_WF, OBS_SC_REL_STORE):
-        lov = _set_grid(lov, m, cc.addr_ix[x], cc.value_of[x])
-        if code == OBS_SC_REL_STORE and x not in order:
-            order = order + (x,)
-    else:
+        return p | (1 << x)
+    clear, set_, src, dst = cc.observe[x][m]
+    q = (p & clear) | set_
+    if dst:
         # Load observations: the register takes the last observed value.
-        rf = _set_grid(rf, m, cc.reg_ix[x], lov[m][cc.addr_ix[x]])
-        if code in (OBS_LOAD_AS_WF, OBS_LOAD_AS_WOF):
-            after = _set_slot(after, s, after[s] | (1 << x))
-        elif code == OBS_SC_ACQ_LOAD:
-            order = order + (x,)
-    return MachineState(issued, observed, observers, lov, rf, issuedfence, after, cursor, order)
+        q |= ((p >> src) & cc.value_mask) << dst
+    if code == OBS_LOAD_AS_WF or code == OBS_LOAD_AS_WOF:
+        if s >= 0:
+            q |= cc.after_bit[s][x]
+    elif cc.rank_shift[x] and not p & cc.obs_field[x]:
+        # First observation of an atomic access: append it to the order.
+        rank = 1
+        for field in cc.atomic_fields:
+            if p & field:
+                rank += 1
+        q |= rank << cc.rank_shift[x]
+    return q
 
 
 # ---------------------------------------------------------------------------
 # Event enumeration
 # ---------------------------------------------------------------------------
 
-def iter_candidate_events(cc: CompiledConfig, st: MachineState) -> Iterator[InternalEvent]:
-    """All plausibly-enabled event instances; callers must still check
-    guards.  Complete: every enabled event instance is produced."""
-    # Issues: at most one per master per state.
-    for mi in range(cc.n_masters):
-        prog = cc.program_slots[mi]
-        nxt = st.cursor[mi]
-        if nxt <= len(prog):
-            x = prog[nxt - 1]
-            yield (ISSUE_CODE_OF_KIND[cc.kind[x]], x, -1, -1, -1)
+def iter_candidate_events(cc: CompiledConfig, p: int) -> Iterator[InternalEvent]:
+    """All plausibly-enabled event instances in packed state p; callers
+    must still check guards.  Complete: every enabled event instance is
+    produced."""
+    # Issues: at most one per master per state, the lowest unissued slot.
+    for prog in cc.program_mask:
+        rest = prog & ~p
+        if rest:
+            x = (rest & -rest).bit_length() - 1
+            yield (cc.issue_code[x], x, -1, -1, -1)
 
-    issued = st.issued
-    observers = st.observers
+    n_masters = cc.n_masters
     all_m = cc.all_masters_mask
+    obs_shift = cc.obs_shift
 
     for s in cc.plain_store_slots:
-        if not (issued >> s) & 1 or observers[s] == all_m:
+        if not (p >> s) & 1:
             continue
-        fences = cc.fences_of_master[cc.issuer_ix[s]]
-        issued_fences = [f for f in fences if (st.issuedfence >> f) & 1]
-        for m in range(cc.n_masters):
-            if (observers[s] >> m) & 1:
+        observers = (p >> obs_shift[s]) & all_m
+        if observers == all_m:
+            continue
+        issued_fences = [f for f in cc.fences_of_master[cc.issuer_ix[s]] if (p >> f) & 1]
+        for m in range(n_masters):
+            if (observers >> m) & 1:
                 continue
             if issued_fences:
                 for f in issued_fences:
@@ -470,24 +507,26 @@ def iter_candidate_events(cc: CompiledConfig, st: MachineState) -> Iterator[Inte
                 yield (OBS_STORE_WOF, s, m, -1, -1)
 
     for s in cc.rel_store_slots:
-        if not (issued >> s) & 1 or observers[s] == all_m:
+        if not (p >> s) & 1:
             continue
-        for m in range(cc.n_masters):
-            if not (observers[s] >> m) & 1:
+        observers = (p >> obs_shift[s]) & all_m
+        if observers == all_m:
+            continue
+        for m in range(n_masters):
+            if not (observers >> m) & 1:
                 yield (OBS_SC_REL_STORE, s, m, -1, -1)
 
     for l in cc.plain_load_slots:
-        if not (issued >> l) & 1 or observers[l]:
+        if not (p >> l) & 1 or p & cc.obs_field[l]:
             continue
         m = cc.issuer_ix[l]
-        witnesses = cc.stores_to_addr[cc.addr_ix[l]]
-        fences = cc.fences_of_master[m]
-        issued_fences = [f for f in fences if (st.issuedfence >> f) & 1]
+        witnesses = cc.witnesses[l]
+        issued_fences = [f for f in cc.fences_of_master[m] if (p >> f) & 1]
         if issued_fences:
             for f in issued_fences:
                 if witnesses:
                     for s in witnesses:
-                        if (observers[s] >> m) & 1:
+                        if (p >> (obs_shift[s] + m)) & 1:
                             yield (OBS_LOAD_AS_WF, l, m, f, s)
                         else:
                             yield (OBS_LOAD_HB_WF, l, m, f, s)
@@ -496,7 +535,7 @@ def iter_candidate_events(cc: CompiledConfig, st: MachineState) -> Iterator[Inte
         else:
             if witnesses:
                 for s in witnesses:
-                    if (observers[s] >> m) & 1:
+                    if (p >> (obs_shift[s] + m)) & 1:
                         yield (OBS_LOAD_AS_WOF, l, m, -1, s)
                     else:
                         yield (OBS_LOAD_WOF, l, m, -1, s)
@@ -504,23 +543,22 @@ def iter_candidate_events(cc: CompiledConfig, st: MachineState) -> Iterator[Inte
                 yield (OBS_LOAD_WOF, l, m, -1, -1)
 
     for l in cc.acq_load_slots:
-        if (issued >> l) & 1 and not observers[l]:
+        if (p >> l) & 1 and not p & cc.obs_field[l]:
             yield (OBS_SC_ACQ_LOAD, l, cc.issuer_ix[l], -1, -1)
 
 
-def successors(
-    cc: CompiledConfig, st: MachineState
-) -> list[tuple[InternalEvent, MachineState]]:
-    """Enabled events with their successor states, in a deterministic order."""
+def successors(cc: CompiledConfig, p: int) -> list[tuple[InternalEvent, int]]:
+    """Enabled events of packed state p with their packed successors, in a
+    deterministic order."""
     unenumerated = _UNENUMERATED
     out = []
-    for ev in iter_candidate_events(cc, st):
+    for ev in iter_candidate_events(cc, p):
         code, x, m, f, s = ev
         for holds in unenumerated[code]:
-            if not holds(cc, st, x, m, f, s):
+            if not holds(cc, p, x, m, f, s):
                 break
         else:
-            out.append((ev, apply_event(cc, st, ev)))
+            out.append((ev, apply_event(cc, p, ev)))
     return out
 
 
@@ -615,14 +653,15 @@ def to_internal(cc: CompiledConfig, ev: EventDescriptor) -> InternalEvent:
 def enabled_events(state: MachineState, config: SystemConfig) -> set[EventDescriptor]:
     """Exactly the event instances whose guards hold in ``state``."""
     cc = compile_config(config)
-    return {to_descriptor(cc, ev) for ev, _ in successors(cc, state)}
+    return {to_descriptor(cc, ev) for ev, _ in successors(cc, pack(cc, state))}
 
 
-def step(cc: CompiledConfig, state: MachineState, ev: EventDescriptor) -> MachineState:
-    """Successor state for ``ev``; raises GuardFailed quoting the first
-    violated guard, filled with the event's ids, if it is not enabled."""
+def step(cc: CompiledConfig, p: int, ev: EventDescriptor) -> int:
+    """Successor of packed state p for ``ev``; raises GuardFailed quoting
+    the first violated guard, filled with the event's ids, if it is not
+    enabled."""
     internal = to_internal(cc, ev)
-    n = _first_failing(cc, state, internal)
+    n = _first_failing(cc, p, internal)
     if n:
         code, x, m, f, s = internal
         text = RULES[code][n - 1].text.format(
@@ -632,13 +671,14 @@ def step(cc: CompiledConfig, state: MachineState, ev: EventDescriptor) -> Machin
             s=cc.instrs[s].id if s >= 0 else "none",
         )
         raise GuardFailed(ev.name, f"grd{n}", f"{text} (params {ev.params()})")
-    return apply_event(cc, state, internal)
+    return apply_event(cc, p, internal)
 
 
 def fire(state: MachineState, config: SystemConfig, ev: EventDescriptor) -> MachineState:
     """Successor state for ``ev``; raises GuardFailed naming the first
     violated guard if the event is not enabled."""
-    return step(compile_config(config), state, ev)
+    cc = compile_config(config)
+    return unpack(cc, step(cc, pack(cc, state), ev))
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,16 @@ STORE_KINDS = frozenset({InstrKind.STORE, InstrKind.SC_REL_STORE})
 LOAD_KINDS = frozenset({InstrKind.LOAD, InstrKind.SC_ACQ_LOAD})
 ATOMIC_KINDS = frozenset({InstrKind.SC_REL_STORE, InstrKind.SC_ACQ_LOAD})
 
+# The event code of each kind's issue rule (``kernel.EVENT_NAMES`` starts
+# with the five issue rules, in this order).
+ISSUE_CODE_OF_KIND = {
+    InstrKind.STORE: 0,
+    InstrKind.LOAD: 1,
+    InstrKind.FENCE: 2,
+    InstrKind.SC_REL_STORE: 3,
+    InstrKind.SC_ACQ_LOAD: 4,
+}
+
 
 @dataclass(frozen=True)
 class Instruction:
@@ -237,88 +247,160 @@ class CompiledConfig:
             self.reg_index[ins.register] if ins.register is not None else -1 for ins in instrs
         )
 
-        self.access_mask = 0
         self.plain_store_slots: list[int] = []
         self.plain_load_slots: list[int] = []
         self.rel_store_slots: list[int] = []
         self.acq_load_slots: list[int] = []
         self.fence_slots: list[int] = []
-        for i, ins in enumerate(instrs):
-            if ins.is_memaccess():
-                self.access_mask |= 1 << i
-            if ins.kind is InstrKind.STORE:
-                self.plain_store_slots.append(i)
-            elif ins.kind is InstrKind.LOAD:
-                self.plain_load_slots.append(i)
-            elif ins.kind is InstrKind.SC_REL_STORE:
-                self.rel_store_slots.append(i)
-            elif ins.kind is InstrKind.SC_ACQ_LOAD:
-                self.acq_load_slots.append(i)
-            else:
-                self.fence_slots.append(i)
-        self.fence_mask = sum(1 << i for i in self.fence_slots)
-        self.all_masters_mask = (1 << self.n_masters) - 1
-
+        slots_of_kind = {
+            InstrKind.STORE: self.plain_store_slots,
+            InstrKind.LOAD: self.plain_load_slots,
+            InstrKind.SC_REL_STORE: self.rel_store_slots,
+            InstrKind.SC_ACQ_LOAD: self.acq_load_slots,
+            InstrKind.FENCE: self.fence_slots,
+        }
         # Stores (either kind) per address: witness candidates for loads.
-        self.stores_to_addr: tuple[tuple[int, ...], ...] = tuple(
-            tuple(
-                i
-                for i in sorted((*self.plain_store_slots, *self.rel_store_slots))
-                if self.addr_ix[i] == a
-            )
-            for a in range(len(self.addr_names))
-        )
-
+        stores: list[list[int]] = [[] for _ in self.addr_names]
         # Per master: fence slots, and a flag mask of that master's fences.
-        self.fences_of_master = tuple(
-            tuple(i for i in self.fence_slots if self.issuer_ix[i] == m)
-            for m in range(self.n_masters)
-        )
-        self.fence_mask_of_master = tuple(
-            sum(1 << i for i in slots) for slots in self.fences_of_master
-        )
+        fences: list[list[int]] = [[] for _ in config.masters]
+        for i, kind in enumerate(self.kind):
+            slots_of_kind[kind].append(i)
+            if kind is InstrKind.FENCE:
+                fences[self.issuer_ix[i]].append(i)
+            elif self.value_of[i] >= 0:
+                stores[self.addr_ix[i]].append(i)
+        self.fence_mask = sum(1 << i for i in self.fence_slots)
+        self.access_mask = ((1 << self.n_instr) - 1) & ~self.fence_mask
+        self.all_masters_mask = (1 << self.n_masters) - 1
+        self.stores_to_addr: tuple[tuple[int, ...], ...] = tuple(map(tuple, stores))
+        self.fences_of_master = tuple(map(tuple, fences))
+        self.fence_mask_of_master = tuple(sum(1 << i for i in slots) for slots in fences)
 
-        # ahead(f): memory accesses of the fence's issuer earlier in program
-        # order.  Static: masters issue in program order, positions never move.
+        # Per slot, in its issuer's program: the memory accesses before it
+        # (release-store guard; for a fence f these are ahead(f)), and the
+        # acquire loads before it (an acquire blocks later accesses until
+        # its issuer observes it).  Static: masters issue in program order,
+        # positions never move.
+        pred_access: list[tuple[int, ...]] = [()] * self.n_instr
+        acq_pred: list[tuple[int, ...]] = [()] * self.n_instr
+        for slots in self.program_slots:
+            accesses: tuple[int, ...] = ()
+            acquires: tuple[int, ...] = ()
+            for x in slots:
+                pred_access[x], acq_pred[x] = accesses, acquires
+                if self.kind[x] is not InstrKind.FENCE:
+                    accesses += (x,)
+                if self.kind[x] is InstrKind.SC_ACQ_LOAD:
+                    acquires += (x,)
+        self.pred_access_slots = tuple(pred_access)
+        self.acq_pred_slots = tuple(acq_pred)
         self.ahead_mask = tuple(
-            (
-                sum(
-                    1 << j
-                    for j in self.program_slots[self.issuer_ix[i]]
-                    if self.index_of[j] < self.index_of[i] and (self.access_mask >> j) & 1
-                )
-                if ins.kind is InstrKind.FENCE
-                else 0
-            )
-            for i, ins in enumerate(instrs)
+            sum(1 << a for a in preds) if kind is InstrKind.FENCE else 0
+            for kind, preds in zip(self.kind, pred_access)
         )
 
-        # Program-order memory-access predecessors (release-store guard).
-        self.pred_access_slots = tuple(
-            tuple(
-                j
-                for j in self.program_slots[self.issuer_ix[i]]
-                if self.index_of[j] < self.index_of[i] and (self.access_mask >> j) & 1
-            )
-            for i in range(self.n_instr)
-        )
-        # Acquire loads earlier in the same program (acquire blocks later
-        # accesses until it is observed by its issuer).
-        self.acq_pred_slots = tuple(
-            tuple(
-                j
-                for j in self.program_slots[self.issuer_ix[i]]
-                if self.index_of[j] < self.index_of[i] and self.kind[j] is InstrKind.SC_ACQ_LOAD
-            )
-            for i in range(self.n_instr)
-        )
+        initial = dict(config.initial_memory)
+        self.initial_lov = (tuple(initial[a] for a in self.addr_names),) * self.n_masters
+        self.initial_rf = ((0,) * len(self.reg_names),) * self.n_masters
 
-        self.initial_lov = tuple(
-            tuple(config.initial_value(a) for a in self.addr_names)
-            for _ in range(self.n_masters)
+        # Per-slot tables the search reads instead of Enum lookups.
+        self.issue_code = tuple([ISSUE_CODE_OF_KIND[k] for k in self.kind])
+        self.is_load = tuple([r >= 0 for r in self.reg_ix])
+        self.witnesses = tuple(
+            [self.stores_to_addr[a] if r >= 0 else () for a, r in zip(self.addr_ix, self.reg_ix)]
         )
-        self.initial_rf = tuple(
-            tuple(0 for _ in self.reg_names) for _ in range(self.n_masters)
+        self.program_mask = tuple(
+            [((1 << len(slots)) - 1) << slots[0] if slots else 0 for slots in self.program_slots]
+        )
+        self._encode()
+
+    def _encode(self) -> None:
+        """Bit layout of the packed machine state, the one int per state
+        the search works on (``kernel.pack``/``kernel.unpack``).
+
+        From bit 0 up: one issued bit per slot; one observer bit per
+        (slot, master), each slot's masters side by side; a value-index
+        field per (master, address) for lov, then per (master, register)
+        for rf; one after bit per (store, plain load of its address); and
+        an atomic-order rank field per atomic slot, 0 while unranked.
+        Nothing derivable is stored: issued/issuedfence are the issued
+        bits under the access/fence masks, the cursor counts a master's
+        issued slots, and observed means some observer bit is set.
+        """
+        n, n_m = self.n_instr, self.n_masters
+        self.values = tuple(sorted(self.config.values))
+        self.value_index = {v: i for i, v in enumerate(self.values)}
+        width = (len(self.values) - 1).bit_length()
+        mask = self.value_mask = (1 << width) - 1
+
+        def fields(base: int, rows: int, cols: int) -> tuple[tuple[int, ...], ...]:
+            return tuple(
+                tuple([base + (row * cols + col) * width for col in range(cols)])
+                for row in range(rows)
+            )
+
+        pos = n
+        self.obs_shift = tuple([pos + x * n_m for x in range(n)])
+        self.obs_field = tuple([self.all_masters_mask << sh for sh in self.obs_shift])
+        masters = [1 << m for m in range(n_m)]
+        self.obs_bit = tuple([tuple([b << sh for b in masters]) for sh in self.obs_shift])
+        pos += n * n_m
+
+        n_a, n_r = len(self.addr_names), len(self.reg_names)
+        self.lov_shift = fields(pos, n_m, n_a)
+        pos += n_m * n_a * width
+        self.rf_shift = pos
+        self.rf_mask = (1 << (n_m * n_r * width)) - 1
+        self.reg_shift = fields(pos, n_m, n_r)
+        pos += n_m * n_r * width
+
+        after = [[0] * n for _ in range(n)]
+        for l in self.plain_load_slots:
+            for s in self.witnesses[l]:
+                after[s][l] = 1 << pos
+                pos += 1
+        self.after_bit = tuple(map(tuple, after))
+        self.after_field = tuple(map(sum, after))
+
+        atomics = sorted((*self.rel_store_slots, *self.acq_load_slots))
+        rank_width = len(atomics).bit_length()
+        self.rank_mask = (1 << rank_width) - 1
+        rank_shift = [0] * n  # 0: not an atomic slot
+        for x in atomics:
+            rank_shift[x] = pos
+            pos += rank_width
+        self.rank_shift = tuple(rank_shift)
+        self.atomic_fields = tuple(self.obs_field[x] for x in atomics)
+        self.state_bits = pos
+
+        # Observing slot x by master m turns p into (p & clear) | set;
+        # a load then copies the value field at ``src`` to the register
+        # field at ``dst`` (0 for stores and fences, which copy nothing).
+        observe = []
+        for x in range(n):
+            a, r, bits = self.addr_ix[x], self.reg_ix[x], self.obs_bit[x]
+            if self.value_of[x] >= 0:  # a store
+                v = self.value_index[self.value_of[x]]
+                row = [(~(mask << lov[a]), b | (v << lov[a]), 0, 0)
+                       for b, lov in zip(bits, self.lov_shift)]
+            elif r >= 0:  # a load
+                row = [(~(mask << regs[r]), b, lov[a], regs[r])
+                       for b, lov, regs in zip(bits, self.lov_shift, self.reg_shift)]
+            else:
+                row = [(-1, b, 0, 0) for b in bits]
+            observe.append(tuple(row))
+        self.observe = tuple(observe)
+        # Indexed by fence slot f and master m: every access ahead of f
+        # observed by m.
+        ahead_obs: list[tuple[int, ...]] = [()] * n
+        for f in self.fence_slots:
+            ahead = sum([self.obs_bit[a][0] for a in self.pred_access_slots[f]])
+            ahead_obs[f] = tuple([ahead << m for m in range(n_m)])
+        self.ahead_obs = tuple(ahead_obs)
+        self.initial_state = sum(
+            self.value_index[v] << sh
+            for row, shifts in zip(self.initial_lov, self.lov_shift)
+            for v, sh in zip(row, shifts)
         )
 
     def slot(self, instr_id: str) -> int:

@@ -23,11 +23,19 @@ from .explorer import (
     _bfs,
     _rf_snapshot,
     _watched_mask,
+    _watched_observers,
     explore,
     replay,
 )
 from .coverage import reg_combos
-from .kernel import EVENT_NAMES, EventDescriptor, init_state, successors, to_descriptor
+from .kernel import (
+    EVENT_NAMES,
+    EventDescriptor,
+    register_file,
+    registers,
+    successors,
+    to_descriptor,
+)
 from .litmus import (
     And,
     LitmusTest,
@@ -123,35 +131,28 @@ class TestCase:
 
 
 def _goal_checker(test: LitmusTest, goal: PairGoal | OutcomePredicate | None):
+    """The goal as a function of an rf field (``kernel.registers``)."""
     cc = compile_config(test.config)
     if goal is None:
-        return lambda state: True
+        return lambda rf: True
     if isinstance(goal, PairGoal):
         combos = reg_combos(test.config.registers, test.config.values)
         regs = sorted(test.config.registers)
-        positions = [cc.reg_index[r] for r in regs]
-        wanted = []
+        # The wanted register values as bits of the rf field.
+        mask = want = 0
         for master, combo_ix in zip(goal.watched, goal.combo_indices):
             if master not in cc.master_index:
                 raise KeyError(f"unknown master {master!r} in target")
             if not 0 <= combo_ix < len(combos):
                 raise ValueError(f"combo index {combo_ix} out of range for {len(combos)} combos")
             combo = combos[combo_ix]
-            wanted.append(
-                (cc.master_index[master], tuple(combo[r] for r in regs))
-            )
+            for r in regs:
+                sh = cc.reg_shift[cc.master_index[master]][cc.reg_index[r]] - cc.rf_shift
+                mask |= cc.value_mask << sh
+                want |= cc.value_index[combo[r]] << sh
+        return lambda rf: rf & mask == want
 
-        def check(state: kernel.MachineState) -> bool:
-            return all(
-                tuple(state.rf[mi][p] for p in positions) == vals for mi, vals in wanted
-            )
-
-        return check
-
-    def check_pred(state: kernel.MachineState) -> bool:
-        return goal.evaluate(_rf_snapshot(cc, state.rf))
-
-    return check_pred
+    return lambda rf: goal.evaluate(_rf_snapshot(cc, register_file(cc, rf)))
 
 
 def find_trace(
@@ -162,46 +163,55 @@ def find_trace(
     name: str | None = None,
 ) -> TestCase:
     """Shortest trace to a state where the goal holds, all watched loads
-    are observed, and every mustCover event has fired along the way."""
+    are observed, and every mustCover event has fired along the way.
+
+    Search nodes are ints: the packed machine state, with the set of
+    mustCover events fired so far in the bits above it.  The goal is
+    evaluated once per distinct register file.
+    """
     target.validate()
     cc = compile_config(test.config)
     goal_holds = _goal_checker(test, target.goal)
+    goal_seen: dict[int, bool] = {}
 
-    watched = _watched_mask(cc, test.watched_loads)
+    watched = _watched_observers(cc, test.watched_loads)
+    rf_shift, rf_mask = cc.rf_shift, cc.rf_mask
+    state_bits = cc.state_bits
+    state_mask = (1 << state_bits) - 1
     cover_names = sorted(target.must_cover)
-    cover_bit = {EVENT_NAMES.index(n): 1 << i for i, n in enumerate(cover_names)}
+    cover_bit = {EVENT_NAMES.index(n): 1 << (state_bits + i) for i, n in enumerate(cover_names)}
     full = (1 << len(cover_names)) - 1
     allowed_codes = None
     if target.only_these:
         allowed_codes = set(kernel.ISSUE_CODES) | set(cover_bit)
 
-    def expand(node: tuple) -> list:
-        st, fired = node
+    def expand(node: int) -> list:
+        fired = node & ~state_mask
         return [
-            (ev, (nxt, fired | cover_bit.get(ev[0], 0)))
-            for ev, nxt in successors(cc, st)
+            (ev, nxt | fired | cover_bit.get(ev[0], 0))
+            for ev, nxt in successors(cc, node & state_mask)
             if allowed_codes is None or ev[0] in allowed_codes
         ]
 
-    def done(node: tuple) -> bool:
-        st, fired = node
-        return (
-            fired == full
-            and (st.observed & watched) == watched
-            and goal_holds(st)
-        )
+    def done(node: int) -> bool:
+        if node >> state_bits != full or node & watched != watched:
+            return False
+        rf = (node >> rf_shift) & rf_mask
+        hit = goal_seen.get(rf)
+        if hit is None:
+            hit = goal_seen[rf] = goal_holds(rf)
+        return hit
 
-    space = _bfs((init_state(test.config), 0), expand, done, max_states)
+    space = _bfs(cc.initial_state, expand, done, max_states)
     if space.stop is None:
         raise Unreachable(len(space.parents))
     trace = tuple(to_descriptor(cc, ev) for ev in space.events_to(space.stop))
 
-    expected = _rf_snapshot(cc, space.stop[0].rf)
     return TestCase(
         name=name or f"{test.name}-target",
         litmus=format_test(test),
         trace=trace,
-        expected=expected,
+        expected=_rf_snapshot(cc, register_file(cc, registers(cc, space.stop))),
         target=_target_json(target),
     )
 

@@ -2,14 +2,15 @@
 
 Nothing here touches canonical_key, the BFS frontier machinery or the
 coverage module: final/trigger register sets are recomputed by depth-first
-recursion, and load values by a per-master fold over raw event sequences.
+recursion, load values by a per-master fold over raw event sequences, and
+the sequentially consistent outcomes by an interpreter without the kernel.
 """
 
 from __future__ import annotations
 
 import random
 
-from memlit.kernel import InstrKind, MachineState, init_state, successors
+from memlit.kernel import InstrKind, init_state, pack, successors, unpack
 from memlit.model import SystemConfig, compile_config
 
 
@@ -23,11 +24,11 @@ def enumerate_paths(config: SystemConfig, max_paths: int = 2_000_000):
     finals: set = set()
     count = 0
 
-    def walk(state: MachineState) -> None:
+    def walk(state: int) -> None:
         nonlocal count
         succ = successors(cc, state)
         if not succ:
-            finals.add(state.rf)
+            finals.add(unpack(cc, state).rf)
             count += 1
             if count > max_paths:
                 raise RuntimeError("path explosion; config too large for path enumeration")
@@ -35,14 +36,14 @@ def enumerate_paths(config: SystemConfig, max_paths: int = 2_000_000):
         for _, nxt in succ:
             walk(nxt)
 
-    walk(init_state(config))
+    walk(pack(cc, init_state(config)))
     return finals, count
 
 
 def dfs_register_sets(config: SystemConfig, watched_loads: frozenset[str] = frozenset()):
     """Final and trigger register sets by memoised depth-first search.
 
-    Memoisation is on raw machine states (structural equality); traversal
+    Memoisation is on packed machine states (structural equality); traversal
     order, bookkeeping and trigger detection are all disjoint from the
     breadth-first explorer.
     """
@@ -53,16 +54,17 @@ def dfs_register_sets(config: SystemConfig, watched_loads: frozenset[str] = froz
 
     finals: set = set()
     triggers: set = set()
-    seen: set[MachineState] = set()
-    stack = [init_state(config)]
+    seen: set[int] = set()
+    stack = [pack(cc, init_state(config))]
     while stack:
-        state = stack.pop()
-        if state in seen:
+        packed = stack.pop()
+        if packed in seen:
             continue
-        seen.add(state)
+        seen.add(packed)
+        state = unpack(cc, packed)
         if (state.observed & watched_mask) == watched_mask:
             triggers.add(state.rf)
-        succ = successors(cc, state)
+        succ = successors(cc, packed)
         if not succ:
             finals.add(state.rf)
             continue
@@ -70,6 +72,47 @@ def dfs_register_sets(config: SystemConfig, watched_loads: frozenset[str] = froz
             if nxt not in seen:
                 stack.append(nxt)
     return finals, triggers, len(seen)
+
+
+def sc_register_files(config: SystemConfig) -> set:
+    """Final register files of every sequentially consistent interleaving.
+
+    One shared memory; each step runs a master's next instruction whole,
+    and fences and atomics act as plain accesses.  The files have the
+    explorer's shape: a row per master, over the sorted register names.
+    """
+    addrs = sorted(config.addresses)
+    regs = sorted(config.registers)
+    memory = tuple(config.initial_value(a) for a in addrs)
+    files = tuple((0,) * len(regs) for _ in config.masters)
+    finals: set = set()
+    seen: set = set()
+    stack = [((0,) * len(config.masters), memory, files)]
+    while stack:
+        node = stack.pop()
+        if node in seen:
+            continue
+        seen.add(node)
+        pcs, memory, files = node
+        done = True
+        for mi, prog in enumerate(config.programs):
+            if pcs[mi] == len(prog):
+                continue
+            done = False
+            ins = prog[pcs[mi]]
+            nxt_pcs = pcs[:mi] + (pcs[mi] + 1,) + pcs[mi + 1 :]
+            nxt_memory, nxt_files = memory, files
+            if ins.is_store():
+                a = addrs.index(ins.address)
+                nxt_memory = memory[:a] + (ins.value,) + memory[a + 1 :]
+            elif ins.is_load():
+                r = regs.index(ins.register)
+                row = files[mi][:r] + (memory[addrs.index(ins.address)],) + files[mi][r + 1 :]
+                nxt_files = files[:mi] + (row,) + files[mi + 1 :]
+            stack.append((nxt_pcs, nxt_memory, nxt_files))
+        if done:
+            finals.add(files)
+    return finals
 
 
 def fold_lov(config: SystemConfig, events) -> dict:
@@ -143,12 +186,12 @@ def random_config(rng: random.Random, max_per_master: int = 3) -> SystemConfig:
 def random_walk(config: SystemConfig, rng: random.Random, max_steps: int = 40):
     """One random maximal(ish) path; yields (event, state) pairs."""
     cc = compile_config(config)
-    state = init_state(config)
+    state = pack(cc, init_state(config))
     path = []
     for _ in range(max_steps):
         succ = successors(cc, state)
         if not succ:
             break
         ev, state = rng.choice(succ)
-        path.append((ev, state))
+        path.append((ev, unpack(cc, state)))
     return path

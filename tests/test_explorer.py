@@ -16,11 +16,24 @@ from memlit.explorer import (
     replay,
     replay_states,
 )
-from memlit.kernel import EventDescriptor, fire, init_state, successors
+from memlit.kernel import (
+    EventDescriptor,
+    check_state_invariants,
+    fire,
+    init_state,
+    pack,
+    successors,
+)
 from memlit.litmus import parse
 from memlit.model import InstrKind, SystemConfig, compile_config
 
-from oracle import dfs_register_sets, enumerate_paths, random_config, random_walk
+from oracle import (
+    dfs_register_sets,
+    enumerate_paths,
+    random_config,
+    random_walk,
+    sc_register_files,
+)
 from test_kernel import make_config
 
 
@@ -117,7 +130,7 @@ class TestExplore:
 def layer_sizes(config, total: int) -> list[int]:
     """Sizes of the breadth-first layers until they hold ``total`` states."""
     cc = compile_config(config)
-    layer = [init_state(config)]
+    layer = [pack(cc, init_state(config))]
     seen = set(layer)
     sizes = [1]
     while layer and sum(sizes) < total:
@@ -219,6 +232,18 @@ class TestOracleEquivalence:
         finals, _ = enumerate_paths(cfg)
         assert res.final_register_maps == frozenset(finals)
 
+    def test_sampled_configs_match_dfs_with_invariants(self):
+        # check_invariants runs every search state, unpacked, through
+        # check_state_invariants, which catches pack/unpack slips.
+        for seed in range(SAMPLED_SEEDS):
+            cfg = random_config(random.Random(seed), max_per_master=2)
+            watched = frozenset(i.id for i in cfg.instructions() if i.is_load())
+            res = explore(cfg, check_invariants=True, watched_loads=watched)
+            finals, triggers, seen = dfs_register_sets(cfg, watched)
+            assert res.final_register_maps == frozenset(finals), seed
+            assert res.trigger_register_maps == frozenset(triggers), seed
+            assert res.state_count == seen, seed
+
     def test_nine_instruction_writer_fence_variant_matches_dfs(self, iriw_fence_all):
         res = explore_test(iriw_fence_all)
         finals, triggers, seen = dfs_register_sets(
@@ -227,6 +252,25 @@ class TestOracleEquivalence:
         assert res.final_register_maps == frozenset(finals)
         assert res.trigger_register_maps == frozenset(triggers)
         assert res.state_count == seen
+
+
+SAMPLED_SEEDS = 120
+
+
+class TestScInclusion:
+    """Every sequentially consistent outcome is a final register file of
+    the model: the weak machine only adds behaviours."""
+
+    def test_corpus(self, all_corpus):
+        for name, t in all_corpus.items():
+            sc = sc_register_files(t.config)
+            assert sc and sc <= explore(t.config).final_register_maps, name
+
+    def test_sampled_configs(self):
+        for seed in range(SAMPLED_SEEDS):
+            cfg = random_config(random.Random(seed), max_per_master=2)
+            sc = sc_register_files(cfg)
+            assert sc and sc <= explore(cfg).final_register_maps, seed
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -303,6 +347,21 @@ class TestReplay:
                 replay_states(iriw_fence.config, trace, enforce_guards=False)
         assert err.value.step == k
         assert err.value.cause.guard == "grd0"
+
+    def test_after_store_load_without_witness_keeps_after(self, iriw_fence):
+        # With guards off, an after-store observation that names no
+        # witness store leaves every after set as it was.
+        cfg = iriw_fence.config
+        trace = (
+            EventDescriptor(name="IssueLoad", l="I21"),
+            EventDescriptor(name="ObserveLoadAfterStoreWithoutFence", l="I21", m="M2"),
+        )
+        states = replay_states(cfg, trace, enforce_guards=False)
+        n_instr = compile_config(cfg).n_instr
+        assert [len(st.after) for st in states] == [n_instr] * 3
+        assert states[-1].after == states[0].after
+        names = {v.invariant for st in states for v in check_state_invariants(st, cfg)}
+        assert "inv7" not in names
 
     def test_counterexample_prefixes_replay(self, iriw_nofence):
         v = check_outcome(iriw_nofence)

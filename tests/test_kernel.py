@@ -24,8 +24,10 @@ from memlit.kernel import (
     fire,
     init_state,
     load_return_value,
+    pack,
     successors,
     to_descriptor,
+    unpack,
 )
 from memlit.model import Instruction, InstrKind, InvalidConfig, SystemConfig, compile_config
 
@@ -86,6 +88,40 @@ class TestInitState:
         bad = Instruction(id="X", kind=InstrKind.STORE, issuer="M1", index=1, address="a1")
         with pytest.raises(InvalidConfig):
             SystemConfig.build(["M1"], {"M1": [bad]})
+
+
+class TestPacking:
+    def test_pack_inverts_unpack_on_reachable_states(self, all_corpus):
+        configs = [t.config for t in all_corpus.values()]
+        configs += [random_config(random.Random(seed), max_per_master=2) for seed in range(40)]
+        for cfg in configs:
+            cc = compile_config(cfg)
+            root = pack(cc, init_state(cfg))
+            assert root == cc.initial_state
+            seen = {root}
+            stack = [root]
+            while stack:
+                p = stack.pop()
+                view = unpack(cc, p)
+                assert pack(cc, view) == p
+                assert p < 1 << cc.state_bits
+                for _, nxt in successors(cc, p):
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        stack.append(nxt)
+
+    def test_unrepresentable_states_rejected(self, iriw_fence):
+        cfg = iriw_fence.config
+        cc = compile_config(cfg)
+        st = init_state(cfg)
+        with pytest.raises(ValueError):
+            pack(cc, st._replace(atomic_order=(cc.slot("I11"),)))
+        with pytest.raises(ValueError):
+            pack(cc, st._replace(lov=((7, 0),) + st.lov[1:]))
+        after = list(st.after)
+        after[cc.slot("I11")] = 1 << cc.slot("I12")
+        with pytest.raises(ValueError):
+            pack(cc, st._replace(after=tuple(after)))
 
 
 class TestAheadOf:
@@ -416,9 +452,10 @@ class TestEnumerationCompleteness:
         walk = random_walk(cfg, rng)
         states = [state] + [s for _, s in walk]
         for st in states[:: max(1, len(states) // 5)]:
-            fast = {ev for ev, _ in successors(cc, st)}
+            fast = {ev for ev, _ in successors(cc, pack(cc, st))}
             swept = {
-                ev for ev in all_event_instances(cc) if check_guards(cc, st, ev) is None
+                ev for ev in all_event_instances(cc)
+                if check_guards(cc, pack(cc, st), ev) is None
             }
             assert fast == swept
 
@@ -476,7 +513,7 @@ class TestGuardRows:
         for programs in self.CONFIGS:
             cfg = make_config(programs)
             cc = compile_config(cfg)
-            seen = {init_state(cfg)}
+            seen = {pack(cc, init_state(cfg))}
             stack = list(seen)
             while stack:
                 st = stack.pop()
@@ -559,11 +596,16 @@ def test_apply_event_matches_fire(data):
     cc = compile_config(cfg)
     state = init_state(cfg)
     for _ in range(10):
-        succ = successors(cc, state)
+        succ = successors(cc, pack(cc, state))
         if not succ:
             break
         ev, nxt = rng.choice(succ)
-        assert fire(state, cfg, to_descriptor(cc, ev)) == nxt == apply_event(cc, state, ev)
+        nxt = unpack(cc, nxt)
+        assert (
+            fire(state, cfg, to_descriptor(cc, ev))
+            == nxt
+            == unpack(cc, apply_event(cc, pack(cc, state), ev))
+        )
         state = nxt
 
 
