@@ -301,7 +301,6 @@ class CompiledConfig:
 
         initial = dict(config.initial_memory)
         self.initial_lov = (tuple(initial[a] for a in self.addr_names),) * self.n_masters
-        self.initial_rf = ((0,) * len(self.reg_names),) * self.n_masters
 
         # Per-slot tables the search reads instead of Enum lookups.
         self.issue_code = tuple([ISSUE_CODE_OF_KIND[k] for k in self.kind])
