@@ -207,26 +207,25 @@ def pack(cc: CompiledConfig, state: MachineState) -> int:
     the kernel reaches.  Raises ValueError for a state the layout cannot
     hold: a value outside the domain, or an after pair or atomic-order
     entry no event can produce."""
-    try:
-        p = state.issued | state.issuedfence
-        for sh, obs in zip(cc.obs_shift, state.observers):
-            p |= obs << sh
-        for grid, shifts in ((state.lov, cc.lov_shift), (state.rf, cc.reg_shift)):
-            for row, row_shifts in zip(grid, shifts):
-                for v, sh in zip(row, row_shifts):
-                    p |= cc.value_index[v] << sh
-        for s, loads in enumerate(state.after):
-            for l in range(cc.n_instr):
-                if (loads >> l) & 1:
-                    if not cc.after_bit[s][l]:
-                        raise ValueError(f"after({s}) holds slot {l}")
-                    p |= cc.after_bit[s][l]
-        for rank, x in enumerate(state.atomic_order, start=1):
-            if not cc.rank_shift[x]:
-                raise ValueError(f"slot {x} in atomic order is not atomic")
-            p |= rank << cc.rank_shift[x]
-    except KeyError as e:
-        raise ValueError(f"value {e} outside the domain") from None
+    p = state.issued | state.issuedfence
+    for sh, obs in zip(cc.obs_shift, state.observers):
+        p |= obs << sh
+    for grid, shifts in ((state.lov, cc.lov_shift), (state.rf, cc.reg_shift)):
+        for row, row_shifts in zip(grid, shifts):
+            for v, sh in zip(row, row_shifts):
+                if v not in cc.value_index:
+                    raise ValueError(f"value {v} outside the domain")
+                p |= cc.value_index[v] << sh
+    for s, loads in enumerate(state.after):
+        for l in range(cc.n_instr):
+            if (loads >> l) & 1:
+                if not cc.after_bit[s][l]:
+                    raise ValueError(f"after({s}) holds slot {l}")
+                p |= cc.after_bit[s][l]
+    for rank, x in enumerate(state.atomic_order, start=1):
+        if not cc.rank_shift[x]:
+            raise ValueError(f"slot {x} in atomic order is not atomic")
+        p |= rank << cc.rank_shift[x]
     return p
 
 

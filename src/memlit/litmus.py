@@ -141,6 +141,7 @@ class _Token:
 
 
 _PUNCT = ("/\\", "\\/", "{", "}", ";", ":", "=", "(", ")", "~")
+_PUNCT_START = frozenset(p[0] for p in _PUNCT)
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -183,13 +184,14 @@ def _tokenize(text: str) -> list[_Token]:
             i = j + 1
             continue
         matched = False
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                toks.append(_Token("punct", p, line, col))
-                i += len(p)
-                col += len(p)
-                matched = True
-                break
+        if ch in _PUNCT_START:
+            for p in _PUNCT:
+                if text.startswith(p, i):
+                    toks.append(_Token("punct", p, line, col))
+                    i += len(p)
+                    col += len(p)
+                    matched = True
+                    break
         if matched:
             continue
         if ch.isdigit():

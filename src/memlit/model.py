@@ -327,39 +327,42 @@ class CompiledConfig:
         issued slots, and observed means some observer bit is set.
         """
         n, n_m = self.n_instr, self.n_masters
-        self.values = tuple(sorted(self.config.values))
-        self.value_index = {v: i for i, v in enumerate(self.values)}
-        width = (len(self.values) - 1).bit_length()
+        values = self.values = tuple(sorted(self.config.values))
+        index = self.value_index = {v: i for i, v in enumerate(values)}
+        width = (len(values) - 1).bit_length()
         mask = self.value_mask = (1 << width) - 1
 
         def fields(base: int, rows: int, cols: int) -> tuple[tuple[int, ...], ...]:
-            return tuple(
+            return tuple([
                 tuple([base + (row * cols + col) * width for col in range(cols)])
                 for row in range(rows)
-            )
+            ])
 
-        pos = n
-        self.obs_shift = tuple([pos + x * n_m for x in range(n)])
-        self.obs_field = tuple([self.all_masters_mask << sh for sh in self.obs_shift])
-        masters = [1 << m for m in range(n_m)]
-        self.obs_bit = tuple([tuple([b << sh for b in masters]) for sh in self.obs_shift])
-        pos += n * n_m
+        obs_shift, obs_field, obs_bit = [], [], []
+        for x in range(n):
+            sh = n + x * n_m
+            obs_shift.append(sh)
+            obs_field.append(self.all_masters_mask << sh)
+            obs_bit.append(tuple([1 << (sh + m) for m in range(n_m)]))
+        self.obs_shift, self.obs_field, self.obs_bit = map(tuple, (obs_shift, obs_field, obs_bit))
+        pos = n + n * n_m
 
         n_a, n_r = len(self.addr_names), len(self.reg_names)
-        self.lov_shift = fields(pos, n_m, n_a)
+        lov_shift = self.lov_shift = fields(pos, n_m, n_a)
         pos += n_m * n_a * width
         self.rf_shift = pos
         self.rf_mask = (1 << (n_m * n_r * width)) - 1
-        self.reg_shift = fields(pos, n_m, n_r)
+        reg_shift = self.reg_shift = fields(pos, n_m, n_r)
         pos += n_m * n_r * width
 
-        after = [[0] * n for _ in range(n)]
+        after: dict[int, list[int]] = {}
         for l in self.plain_load_slots:
             for s in self.witnesses[l]:
-                after[s][l] = 1 << pos
+                after.setdefault(s, [0] * n)[l] = 1 << pos
                 pos += 1
-        self.after_bit = tuple(map(tuple, after))
-        self.after_field = tuple(map(sum, after))
+        no_loads = (0,) * n
+        self.after_bit = tuple([tuple(after[s]) if s in after else no_loads for s in range(n)])
+        self.after_field = tuple([sum(after[s]) if s in after else 0 for s in range(n)])
 
         atomics = sorted((*self.rel_store_slots, *self.acq_load_slots))
         rank_width = len(atomics).bit_length()
@@ -369,7 +372,7 @@ class CompiledConfig:
             rank_shift[x] = pos
             pos += rank_width
         self.rank_shift = tuple(rank_shift)
-        self.atomic_fields = tuple(self.obs_field[x] for x in atomics)
+        self.atomic_fields = tuple([obs_field[x] for x in atomics])
         self.state_bits = pos
 
         # Observing slot x by master m turns p into (p & clear) | set;
@@ -377,14 +380,14 @@ class CompiledConfig:
         # field at ``dst`` (0 for stores and fences, which copy nothing).
         observe = []
         for x in range(n):
-            a, r, bits = self.addr_ix[x], self.reg_ix[x], self.obs_bit[x]
-            if self.value_of[x] >= 0:  # a store
-                v = self.value_index[self.value_of[x]]
+            a, r, v, bits = self.addr_ix[x], self.reg_ix[x], self.value_of[x], obs_bit[x]
+            if v >= 0:  # a store
+                v = index[v]
                 row = [(~(mask << lov[a]), b | (v << lov[a]), 0, 0)
-                       for b, lov in zip(bits, self.lov_shift)]
+                       for b, lov in zip(bits, lov_shift)]
             elif r >= 0:  # a load
                 row = [(~(mask << regs[r]), b, lov[a], regs[r])
-                       for b, lov, regs in zip(bits, self.lov_shift, self.reg_shift)]
+                       for b, lov, regs in zip(bits, lov_shift, reg_shift)]
             else:
                 row = [(-1, b, 0, 0) for b in bits]
             observe.append(tuple(row))
@@ -393,14 +396,13 @@ class CompiledConfig:
         # observed by m.
         ahead_obs: list[tuple[int, ...]] = [()] * n
         for f in self.fence_slots:
-            ahead = sum([self.obs_bit[a][0] for a in self.pred_access_slots[f]])
+            ahead = sum([obs_bit[a][0] for a in self.pred_access_slots[f]])
             ahead_obs[f] = tuple([ahead << m for m in range(n_m)])
         self.ahead_obs = tuple(ahead_obs)
-        self.initial_state = sum(
-            self.value_index[v] << sh
-            for row, shifts in zip(self.initial_lov, self.lov_shift)
-            for v, sh in zip(row, shifts)
-        )
+        self.initial_state = 0
+        for row, shifts in zip(self.initial_lov, lov_shift):
+            for v, sh in zip(row, shifts):
+                self.initial_state |= index[v] << sh
 
     def slot(self, instr_id: str) -> int:
         try:

@@ -36,6 +36,9 @@ from oracle import (
 )
 from test_kernel import make_config
 
+# Seeded random_config(max_per_master=2) samples the oracle checks cover.
+SAMPLED_SEEDS = 120
+
 
 class TestCanonicalKey:
     def test_repeated_init_states_agree(self, iriw_fence):
@@ -252,9 +255,6 @@ class TestOracleEquivalence:
         assert res.final_register_maps == frozenset(finals)
         assert res.trigger_register_maps == frozenset(triggers)
         assert res.state_count == seen
-
-
-SAMPLED_SEEDS = 120
 
 
 class TestScInclusion:
