@@ -19,7 +19,6 @@ from .explorer import (
     ReplayError,
     StateLimitExceeded,
     Verdict,
-    canonical_key,
     check_outcome,
     check_trace_orderings,
     explore,
@@ -46,7 +45,6 @@ __all__ = [
     "ValidationError",
     "Verdict",
     "ahead_of",
-    "canonical_key",
     "check_outcome",
     "check_state_invariants",
     "check_trace_orderings",

@@ -8,12 +8,13 @@ limit exceeded; 4 generation target unreachable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
 
 from . import testgen
-from .coverage import cover, event_coverage, reg_combos
+from .coverage import combo_label, cover, event_coverage, reg_combos
 from .explorer import (
     DEFAULT_MAX_STATES,
     StateLimitExceeded,
@@ -41,12 +42,15 @@ class _CliError(Exception):
 
 def _load_test(path: str) -> LitmusTest:
     try:
-        text = Path(path).read_text()
-    except OSError as e:
+        return parse(Path(path).read_text())
+    except (OSError, UnicodeDecodeError, ParseError, ValidationError) as e:
         raise _CliError(EXIT_USAGE, f"{path}: {e}") from None
+
+
+def _write(path: str | Path, text: str) -> None:
     try:
-        return parse(text)
-    except (ParseError, ValidationError) as e:
+        Path(path).write_text(text)
+    except OSError as e:
         raise _CliError(EXIT_USAGE, f"{path}: {e}") from None
 
 
@@ -69,7 +73,8 @@ def _watch_pair(test: LitmusTest, spec: str) -> tuple[str, str]:
 
 def _parse_target(test: LitmusTest, spec: str) -> PairGoal:
     """Target syntax: ``M2:C0,M3:C1`` (combo labels per watched master)."""
-    n_combos = len(reg_combos(test.config.registers, test.config.values))
+    combos = reg_combos(test.config.registers, test.config.values)
+    index_of = {combo_label(i): i for i in range(len(combos))}
     parts = [p.strip() for p in spec.split(",")]
     if len(parts) != 2:
         raise _CliError(EXIT_USAGE, f"--target expects two master:combo entries, got {spec!r}")
@@ -81,20 +86,19 @@ def _parse_target(test: LitmusTest, spec: str) -> PairGoal:
         master, label = part.split(":", 1)
         if master not in test.config.masters:
             raise _CliError(EXIT_USAGE, f"unknown master {master!r} in --target")
-        if not label.startswith("C") or not label[1:].isdigit():
-            raise _CliError(EXIT_USAGE, f"bad combo label {label!r}")
-        ix = int(label[1:])
-        if ix >= n_combos:
-            raise _CliError(EXIT_USAGE, f"combo {label} out of range (test has {n_combos} combos)")
+        if label not in index_of:
+            raise _CliError(
+                EXIT_USAGE, f"bad combo label {label!r} (test has combos C0 to C{len(combos) - 1})"
+            )
         masters.append(master)
-        indices.append(ix)
+        indices.append(index_of[label])
     return PairGoal((masters[0], masters[1]), (indices[0], indices[1]))
 
 
 def _run_check(args: argparse.Namespace) -> int:
     test = _load_test(args.file)
     try:
-        verdict: Verdict = check_outcome(test, max_states=args.max_states, workers=args.workers)
+        verdict: Verdict = check_outcome(test, max_states=args.max_states)
     except StateLimitExceeded as e:
         raise _CliError(EXIT_STATE_LIMIT, str(e)) from None
     doc = {"test": test.name, "mode": test.outcome_mode.value, **verdict.to_json()}
@@ -108,7 +112,7 @@ def _run_check(args: argparse.Namespace) -> int:
             "test": test.name,
             "steps": [ev.to_json() for ev in verdict.counterexample],
         }
-        Path(args.trace_out).write_text(json.dumps(trace_doc, indent=2, sort_keys=True) + "\n")
+        _write(args.trace_out, json.dumps(trace_doc, indent=2, sort_keys=True) + "\n")
     return EXIT_OK if verdict.ok else EXIT_VIOLATED
 
 
@@ -116,7 +120,7 @@ def _run_cover(args: argparse.Namespace) -> int:
     test = _load_test(args.file)
     watched = _watch_pair(test, args.watch)
     try:
-        res = explore_test(test, max_states=args.max_states, workers=args.workers)
+        res = explore_test(test, max_states=args.max_states)
     except StateLimitExceeded as e:
         raise _CliError(EXIT_STATE_LIMIT, str(e)) from None
     rel = cover(test, res, watched)
@@ -148,7 +152,7 @@ def _run_gen(args: argparse.Namespace) -> int:
         raise _CliError(EXIT_STATE_LIMIT, str(e)) from None
     text = testgen.emit_test(tc)
     if args.out:
-        Path(args.out).write_text(text)
+        _write(args.out, text)
         if not args.json:
             print(f"{test.name}: wrote {args.out} ({len(tc.trace)} steps)")
         else:
@@ -172,14 +176,15 @@ def _run_fuzz(args: argparse.Namespace) -> int:
     except testgen.InvalidBounds as e:
         raise _CliError(EXIT_USAGE, str(e)) from None
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise _CliError(EXIT_USAGE, f"{out_dir}: {e}") from None
     for sample in suite.samples:
         if sample.case is None:
             continue
-        (out_dir / f"{sample.case.name}.json").write_text(testgen.emit_test(sample.case))
-    (out_dir / "manifest.json").write_text(
-        json.dumps(suite.manifest(), indent=2, sort_keys=True) + "\n"
-    )
+        _write(out_dir / f"{sample.case.name}.json", testgen.emit_test(sample.case))
+    _write(out_dir / "manifest.json", json.dumps(suite.manifest(), indent=2, sort_keys=True) + "\n")
     kept = sum(1 for s in suite.samples if s.case is not None)
     skipped = len(suite.samples) - kept
     _emit(
@@ -214,14 +219,18 @@ def _run_suite(args: argparse.Namespace) -> int:
 
     replayed = []
     for path in doc_files:
-        verdict = testgen.verify_test(path.read_text())
+        try:
+            tc = testgen.load_test(path.read_bytes())
+        except (OSError, ValueError) as e:  # JSON and Unicode errors too
+            verdict = testgen.VerifyResult(False, [f"not a test document: {e}"])
+        else:
+            verdict = testgen.verify_test(tc)
         status = "pass" if verdict.ok else "fail"
         if not verdict.ok:
             failures += 1
         replayed.append({"file": path.name, "status": status, "problems": verdict.problems})
         lines.append(f"{path.name}: replay {status}")
         if verdict.ok:
-            tc = testgen.load_test(path.read_text())
             # Trace replays contribute their fired events to the tally.
             tally = {name: 0 for name in EVENT_NAMES}
             for ev in tc.trace:
@@ -259,6 +268,7 @@ def _run_fmt(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="memlit",
@@ -266,18 +276,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, max_states: bool = True) -> None:
         p.add_argument("--json", action="store_true", help="emit a single JSON document")
-        p.add_argument(
-            "--max-states", type=int, default=DEFAULT_MAX_STATES, metavar="N",
-            help="abort exploration beyond N states (exit 3)",
-        )
+        if max_states:
+            p.add_argument(
+                "--max-states", type=int, default=DEFAULT_MAX_STATES, metavar="N",
+                help="abort exploration beyond N states (exit 3)",
+            )
 
     p = sub.add_parser("check", help="verify a litmus test outcome over all interleavings")
     p.add_argument("file")
     common(p)
-    p.add_argument("--workers", type=int, default=1,
-                   help="accepted for compatibility; the search runs in one thread")
     p.add_argument("--trace-out", metavar="PATH", help="write the counterexample trace as JSON")
     p.set_defaults(func=_run_check)
 
@@ -285,8 +294,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     common(p)
     p.add_argument("--watch", required=True, metavar="M2,M3", help="ordered master pair")
-    p.add_argument("--workers", type=int, default=1,
-                   help="accepted for compatibility; the search runs in one thread")
     p.set_defaults(func=_run_cover)
 
     p = sub.add_parser("gen", help="generate a regression test reaching a coverage target")
@@ -301,7 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuzz", help="sample platform tests from a generalised program class")
     p.add_argument("file")
-    common(p)
+    common(p, max_states=False)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, required=True, help="suite seed (reproducible)")
     p.add_argument("--out", required=True, metavar="DIR")
@@ -320,7 +327,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fmt", help="print the canonical form of a litmus file")
     p.add_argument("file")
-    p.add_argument("--json", action="store_true")
+    common(p, max_states=False)
     p.set_defaults(func=_run_fmt)
 
     return parser

@@ -47,9 +47,6 @@ class CoverageRelation:
     def total(self) -> int:
         return len(self.combos) ** 2
 
-    def pairs(self) -> list[tuple[RegCombo, RegCombo]]:
-        return [(self.combos[i], self.combos[j]) for i, j in sorted(self.covered)]
-
     def uncovered(self) -> list[tuple[int, int]]:
         n = len(self.combos)
         return [p for p in product(range(n), repeat=2) if p not in self.covered]

@@ -1,7 +1,7 @@
 """Exhaustive interleaving exploration and trace-level checking.
 
 ``explore`` runs a breadth-first closure over the kernel transition
-relation with canonical-state deduplication, so counterexample traces are
+relation with packed-state deduplication, so counterexample traces are
 shortest.  ``check_outcome`` evaluates a litmus test's outcome invariant
 at every reachable state; the invariant triggers once all watched loads
 have been observed.
@@ -67,11 +67,6 @@ class InvariantViolated(Exception):
         super().__init__("; ".join(f"{v.invariant}: {v.message}" for v in violations))
 
 
-def canonical_key(state: MachineState) -> bytes:
-    """Order-independent serialization; equal states give equal keys."""
-    return repr(tuple(state)).encode()
-
-
 def _rf_snapshot(cc: CompiledConfig, rf: tuple[tuple[int, ...], ...]) -> RegisterMap:
     return {
         m: {r: rf[mi][ri] for ri, r in enumerate(cc.reg_names)}
@@ -90,25 +85,22 @@ class ExplorationResult:
     final_register_maps: frozenset[tuple[tuple[int, ...], ...]]
     event_tally: dict[str, int]
     trigger_register_maps: frozenset[tuple[tuple[int, ...], ...]] | None
-    watched_loads: frozenset[str] | None
     compiled: CompiledConfig = field(repr=False)
     # Shortest trace to the first trigger state found; None without
     # watched loads or when no trigger state is reachable.
     witness: Trace | None = None
 
-    def final_maps(self) -> list[RegisterMap]:
+    def _sorted_maps(self, rfs) -> list[RegisterMap]:
         return sorted(
-            (_rf_snapshot(self.compiled, rf) for rf in self.final_register_maps),
+            (_rf_snapshot(self.compiled, rf) for rf in rfs),
             key=lambda d: sorted((m, sorted(v.items())) for m, v in d.items()),
         )
 
+    def final_maps(self) -> list[RegisterMap]:
+        return self._sorted_maps(self.final_register_maps)
+
     def trigger_maps(self) -> list[RegisterMap]:
-        if self.trigger_register_maps is None:
-            return []
-        return sorted(
-            (_rf_snapshot(self.compiled, rf) for rf in self.trigger_register_maps),
-            key=lambda d: sorted((m, sorted(v.items())) for m, v in d.items()),
-        )
+        return self._sorted_maps(self.trigger_register_maps or ())
 
     def to_json(self) -> dict:
         return {
@@ -145,7 +137,6 @@ def explore(
     max_states: int = DEFAULT_MAX_STATES,
     check_invariants: bool = False,
     watched_loads: frozenset[str] | None = None,
-    workers: int = 1,
     name: str = "",
 ) -> ExplorationResult:
     """Breadth-first closure of the transition system.
@@ -153,8 +144,7 @@ def explore(
     Passing ``watched_loads`` (possibly empty) enables trigger-state
     register collection: the registers of every reachable state in which
     all watched loads have been observed, and a shortest witness trace to
-    the first such state.  The search runs in one thread; ``workers`` is
-    accepted and does not change the result.
+    the first such state.
     """
     result, _, _ = _explore_full(
         config,
@@ -297,7 +287,6 @@ def _explore_full(
         trigger_register_maps=(
             frozenset(register_file(cc, rf) for rf in triggers) if watching else None
         ),
-        watched_loads=watched_loads if watching else None,
         compiled=cc,
         witness=(
             space.trace_to(cc, next(iter(triggers.values())))
@@ -312,7 +301,6 @@ def explore_test(
     *,
     max_states: int = DEFAULT_MAX_STATES,
     check_invariants: bool = False,
-    workers: int = 1,
 ) -> ExplorationResult:
     """Explore a litmus test's configuration, watching its loads."""
     return explore(
@@ -320,7 +308,6 @@ def explore_test(
         max_states=max_states,
         check_invariants=check_invariants,
         watched_loads=test.watched_loads,
-        workers=workers,
         name=test.name,
     )
 
@@ -373,7 +360,6 @@ def check_outcome(
     test: LitmusTest,
     *,
     max_states: int = DEFAULT_MAX_STATES,
-    workers: int = 1,
 ) -> Verdict:
     """Evaluate the outcome invariant at every reachable state.
 
@@ -470,12 +456,6 @@ class OrderingReport:
 
     def all_pass(self) -> bool:
         return all(r.status != "fail" for r in (self.po, self.co, self.hb))
-
-    def to_json(self) -> dict:
-        return {
-            p: {"status": r.status, "witnesses": list(r.witnesses)}
-            for p, r in (("po", self.po), ("co", self.co), ("hb", self.hb))
-        }
 
 
 def _sync_ordered(cc: CompiledConfig, x: int, y: int) -> bool:

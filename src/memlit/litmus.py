@@ -124,9 +124,6 @@ class LitmusTest:
     outcome_mode: OutcomeMode
     watched_loads: frozenset[str]
 
-    def loads(self) -> frozenset[str]:
-        return frozenset(i.id for i in self.config.instructions() if i.is_load())
-
 
 # --------------------------------------------------------------------------
 # Tokenizer
@@ -160,9 +157,9 @@ def _tokenize(text: str) -> list[_Token]:
             col += 1
             continue
         if ch == "#":
-            if i + 1 < n and text[i + 1].isdigit():
+            if i + 1 < n and text[i + 1].isdecimal():
                 j = i + 1
-                while j < n and text[j].isdigit():
+                while j < n and text[j].isdecimal():
                     j += 1
                 toks.append(_Token("value", text[i + 1 : j], line, col))
                 col += j - i
@@ -194,9 +191,9 @@ def _tokenize(text: str) -> list[_Token]:
                     break
         if matched:
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             toks.append(_Token("int", text[i:j], line, col))
             col += j - i
@@ -259,6 +256,15 @@ class _Parser:
             raise self.fail(f"expected keyword {word!r}, found {t.text or t.kind!r}")
         return self.next()
 
+    def integer(self, tok: _Token) -> int:
+        """The value of an int or store-value token."""
+        try:
+            return int(tok.text)
+        except ValueError:  # beyond the interpreter's digit limit
+            raise ParseError(
+                tok.line, tok.column, f"integer literal of {len(tok.text)} digits is too long"
+            ) from None
+
     def parse_test(self) -> LitmusTest:
         self.keyword("litmus")
         name = self.expect("string").text
@@ -269,7 +275,7 @@ class _Parser:
             while not (self.peek().kind == "punct" and self.peek().text == "}"):
                 addr_tok = self.expect("ident")
                 self.expect("punct", "=")
-                val = int(self.expect("int").text)
+                val = self.integer(self.expect("int"))
                 self.expect("punct", ";")
                 if addr_tok.text in init:
                     raise ParseError(
@@ -341,7 +347,7 @@ class _Parser:
             self.next()
             return Instruction(
                 id=iid, kind=kind, issuer=master, index=index,
-                address=addr, value=int(val_tok.text),
+                address=addr, value=self.integer(val_tok),
             )
         reg = self.expect("ident").text
         addr = self.expect("ident").text
@@ -380,7 +386,7 @@ class _Parser:
             self.expect("punct", ":")
             reg = self.expect("ident").text
             self.expect("punct", "=")
-            val = int(self.expect("int").text)
+            val = self.integer(self.expect("int"))
             atom = RegisterIs(mid_tok.text, reg, val)
             atom_positions.append((atom, mid_tok.line, mid_tok.column))
             return atom
@@ -426,11 +432,6 @@ def parse(text: str) -> LitmusTest:
         raise parser.fail("outcome nests too deeply") from None
 
 
-def to_config(test: LitmusTest) -> SystemConfig:
-    """The system configuration a litmus test runs on."""
-    return test.config
-
-
 def format_test(test: LitmusTest) -> str:
     """Canonical source text; ``parse(format_test(t))`` equals ``t``."""
     cfg = test.config
@@ -455,6 +456,3 @@ def _render_instr(ins: Instruction) -> str:
     if k in (InstrKind.STORE, InstrKind.SC_REL_STORE):
         return f"{k.value} {ins.address} #{ins.value}"
     return f"{k.value} {ins.register} {ins.address}"
-
-
-format = format_test  # canonical-text formatter under its interface name

@@ -28,12 +28,8 @@ class InstrKind(enum.Enum):
     FENCE = "FENCE"
 
 
-MEMACCESS_KINDS = frozenset(
-    {InstrKind.STORE, InstrKind.LOAD, InstrKind.SC_REL_STORE, InstrKind.SC_ACQ_LOAD}
-)
 STORE_KINDS = frozenset({InstrKind.STORE, InstrKind.SC_REL_STORE})
 LOAD_KINDS = frozenset({InstrKind.LOAD, InstrKind.SC_ACQ_LOAD})
-ATOMIC_KINDS = frozenset({InstrKind.SC_REL_STORE, InstrKind.SC_ACQ_LOAD})
 
 # The event code of each kind's issue rule (``kernel.EVENT_NAMES`` starts
 # with the five issue rules, in this order).
@@ -62,9 +58,6 @@ class Instruction:
     address: str | None = None
     value: int | None = None
     register: str | None = None
-
-    def is_memaccess(self) -> bool:
-        return self.kind in MEMACCESS_KINDS
 
     def is_store(self) -> bool:
         return self.kind in STORE_KINDS
@@ -102,7 +95,8 @@ class SystemConfig:
 
     ``programs`` is aligned with ``masters``.  Domains must cover every
     address/register/value any instruction mentions; ``values`` always
-    contains 0 (the register initialisation value).
+    contains 0 (the register initialisation value).  Construction
+    validates: a SystemConfig that exists meets every structural invariant.
     """
 
     masters: tuple[str, ...]
@@ -140,7 +134,7 @@ class SystemConfig:
                     regs.add(ins.register)
         for a in addrs:
             init.setdefault(a, 0)
-        cfg = SystemConfig(
+        return SystemConfig(
             masters=tuple(masters),
             programs=tuple(progs),
             initial_memory=tuple(sorted(init.items())),
@@ -148,8 +142,9 @@ class SystemConfig:
             values=frozenset(vals),
             registers=frozenset(regs),
         )
-        cfg.validate()
-        return cfg
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         """Raise InvalidConfig if any structural invariant fails."""
@@ -215,7 +210,6 @@ class CompiledConfig:
     """
 
     def __init__(self, config: SystemConfig):
-        config.validate()
         self.config = config
         self.masters = config.masters
         self.n_masters = len(config.masters)

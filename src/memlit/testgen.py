@@ -27,7 +27,7 @@ from .explorer import (
     explore,
     replay,
 )
-from .coverage import reg_combos
+from .coverage import combo_label, reg_combos
 from .kernel import (
     EVENT_NAMES,
     EventDescriptor,
@@ -232,8 +232,12 @@ def emit_test(tc: TestCase) -> str:
     return json.dumps(tc.to_json(), indent=2, sort_keys=True) + "\n"
 
 
-def load_test(text: str) -> TestCase:
-    return TestCase.from_json(json.loads(text))
+def load_test(text: str | bytes) -> TestCase:
+    """Restore a test case; raises ValueError if ``text`` holds none."""
+    try:
+        return TestCase.from_json(json.loads(text))
+    except (LookupError, TypeError, AttributeError) as e:
+        raise ValueError(f"missing or malformed field: {e!r}") from None
 
 
 @dataclass
@@ -242,13 +246,17 @@ class VerifyResult:
     problems: list[str] = field(default_factory=list)
 
 
-def verify_test(doc: str | TestCase) -> VerifyResult:
+def verify_test(doc: str | bytes | TestCase) -> VerifyResult:
     """Replay a test document and check its recorded outcome.
 
-    Fails (never raises) on guard violations, register mismatches, or a
+    Fails (never raises) on a document that holds no test case, guard
+    violations, register mismatches, a missed or malformed target, or a
     final state outside the recorded allowed set.
     """
-    tc = load_test(doc) if isinstance(doc, str) else doc
+    try:
+        tc = load_test(doc) if isinstance(doc, (str, bytes)) else doc
+    except ValueError as e:  # JSON and Unicode errors are ValueErrors too
+        return VerifyResult(False, [f"not a test document: {e}"])
     problems: list[str] = []
     try:
         test = parse(tc.litmus)
@@ -264,29 +272,34 @@ def verify_test(doc: str | TestCase) -> VerifyResult:
     got = _rf_snapshot(cc, final.rf)
     if tc.expected is not None and got != tc.expected:
         problems.append(f"replayed registers {got} != expected {tc.expected}")
-    if tc.allowed is not None and got not in tc.allowed:
-        problems.append(f"replayed registers {got} not in allowed outcomes")
-    if tc.target is not None and tc.expected is not None and not problems:
-        pair = tc.target.get("pair")
-        if pair:
-            combos = reg_combos(test.config.registers, test.config.values)
-            regs = sorted(test.config.registers)
-            for master, label in pair.items():
-                combo = combos[int(label[1:])]
-                if {r: got[master][r] for r in regs} != combo:
-                    problems.append(f"{master} registers missed target {label}")
-        must = set(tc.target.get("mustCover", ()))
-        fired = {ev.name for ev in tc.trace}
-        missing = must - fired
-        if missing:
-            problems.append(f"trace never fires {sorted(missing)}")
-        if tc.target.get("onlyThese"):
-            extra = {
-                n for n in fired
-                if not n.startswith("Issue") and n not in must
-            }
-            if extra:
-                problems.append(f"trace fires events outside mustCover: {sorted(extra)}")
+    try:  # a field of the wrong shape is a problem, not a crash
+        if tc.allowed is not None and got not in tc.allowed:
+            problems.append(f"replayed registers {got} not in allowed outcomes")
+        if tc.target is not None and tc.expected is not None and not problems:
+            pair = tc.target.get("pair")
+            if pair:
+                combos = reg_combos(test.config.registers, test.config.values)
+                by_label = {combo_label(i): c for i, c in enumerate(combos)}
+                regs = sorted(test.config.registers)
+                for master, label in pair.items():
+                    if master not in got or label not in by_label:
+                        problems.append(f"target names no combo {master}:{label}")
+                    elif {r: got[master][r] for r in regs} != by_label[label]:
+                        problems.append(f"{master} registers missed target {label}")
+            must = set(tc.target.get("mustCover", ()))
+            fired = {ev.name for ev in tc.trace}
+            missing = must - fired
+            if missing:
+                problems.append(f"trace never fires {sorted(missing)}")
+            if tc.target.get("onlyThese"):
+                extra = {
+                    n for n in fired
+                    if not n.startswith("Issue") and n not in must
+                }
+                if extra:
+                    problems.append(f"trace fires events outside mustCover: {sorted(extra)}")
+    except (LookupError, TypeError, AttributeError, ValueError) as e:
+        problems.append(f"malformed target or outcome field: {e!r}")
     watched_mask = _watched_mask(cc, test.watched_loads)
     if (final.observed & watched_mask) != watched_mask:
         problems.append("trace leaves watched loads unobserved")

@@ -1,6 +1,6 @@
 """Independent oracles the test suite checks the explorer against.
 
-Nothing here touches canonical_key, the BFS frontier machinery or the
+Nothing here touches the explorer's deduplication, its BFS frontier or the
 coverage module: final/trigger register sets are recomputed by depth-first
 recursion, load values by a per-master fold over raw event sequences, and
 the sequentially consistent outcomes by an interpreter without the kernel.

@@ -3,11 +3,13 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from memlit import corpus
-from memlit.cli import main
+from memlit.cli import _build_parser, main
+from memlit.testgen import PairGoal, TestTarget, emit_test, find_trace
 
 
 @pytest.fixture()
@@ -89,12 +91,21 @@ class TestCheck:
         assert code == 0
         assert json.loads(out)["verdict"] == "Reachable"
 
-    def test_workers_flag_same_verdict(self, capsys, fence_path):
-        code, out, _ = run_cli(capsys, "check", fence_path, "--workers", "4", "--json")
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["verdict"] == "Holds"
-        assert doc["stateCount"] == 8124
+    def test_removed_flags_exit_two(self, fence_path, tmp_path):
+        for argv in (
+            ["check", fence_path, "--workers", "4"],
+            ["fuzz", fence_path, "--count", "1", "--seed", "1", "--out", str(tmp_path),
+             "--max-states", "10"],
+        ):
+            with pytest.raises(SystemExit) as err:
+                main(argv)
+            assert err.value.code == 2, argv
+
+    def test_unwritable_trace_out_exit_two(self, capsys, nofence_path, tmp_path):
+        path = tmp_path / "missing" / "cex.json"
+        code, _, err = run_cli(capsys, "check", nofence_path, "--trace-out", str(path))
+        assert code == 2
+        assert len(err.splitlines()) == 1 and str(path) in err
 
 
 class TestCover:
@@ -145,6 +156,15 @@ class TestGen:
         doc = json.loads(out)
         assert doc["name"] == "iriw-fence-target"
 
+    def test_unwritable_out_exit_two(self, capsys, fence_path, tmp_path):
+        path = tmp_path / "missing" / "t.json"
+        code, out, err = run_cli(
+            capsys, "gen", fence_path, "--target", "M2:C0,M3:C0", "--out", str(path)
+        )
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and str(path) in err
+
     def test_cover_events_only(self, capsys, fence_path, tmp_path):
         out_file = tmp_path / "t.json"
         code, _, _ = run_cli(
@@ -163,6 +183,16 @@ class TestFuzz:
         with pytest.raises(SystemExit) as err:
             main(["fuzz", fence_path, "--count", "1", "--out", "/tmp/x"])
         assert err.value.code == 2
+
+    def test_out_naming_a_file_exit_two(self, capsys, fence_path, tmp_path):
+        path = tmp_path / "taken"
+        path.write_text("")
+        code, out, err = run_cli(
+            capsys, "fuzz", fence_path, "--count", "1", "--seed", "1", "--out", str(path),
+        )
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and str(path) in err
 
     def test_reproducible_bytes(self, capsys, fence_path, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"
@@ -237,6 +267,26 @@ class TestSuite:
         code, _, _ = run_cli(capsys, "suite", str(tmp_path))
         assert code == 2
 
+    @pytest.mark.parametrize("defect", ["not-json", "no-litmus", "not-utf8", "bad-pair-label"])
+    def test_malformed_document_fails(self, capsys, tmp_path, iriw_fence, defect):
+        case = find_trace(iriw_fence, TestTarget(goal=PairGoal(("M2", "M3"), (0, 0))))
+        doc = json.loads(emit_test(case))
+        if defect == "not-json":
+            data = b"{"
+        elif defect == "no-litmus":
+            del doc["litmus"]
+            data = json.dumps(doc).encode()
+        elif defect == "not-utf8":
+            data = json.dumps(doc).encode().replace(b"iriw-fence-target", b"iriw-\xff")
+        else:
+            doc["target"]["pair"]["M2"] = "Cx"
+            data = json.dumps(doc).encode()
+        (tmp_path / "t.json").write_bytes(data)
+        code, out, _ = run_cli(capsys, "suite", str(tmp_path), "--json")
+        assert code == 1
+        [replayed] = json.loads(out)["replayed"]
+        assert replayed["status"] == "fail" and replayed["problems"]
+
 
 class TestFmt:
     def test_canonical_output_reparses(self, capsys, fence_path):
@@ -251,6 +301,51 @@ class TestFmt:
         bad.write_text("not litmus at all")
         code, _, _ = run_cli(capsys, "fmt", str(bad))
         assert code == 2
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        'litmus "t"\nmaster M1 { I1: ST a1 #\u00b2; I2: LD R1 a1; }\nallowed M1:R1 = 0\n',
+        'litmus "t"\ninit { a1 = \u00b2; }\nmaster M1 { I1: LD R1 a1; }\nallowed M1:R1 = 0\n',
+        'litmus "t"\nmaster M1 { I1: LD R1 a1; }\nallowed M1:R1 = ' + "1" * 5000 + "\n",
+        b'litmus "\xff"\nmaster M1 { I1: LD R1 a1; }\nallowed M1:R1 = 0\n',
+    ],
+    ids=["superscript-store-value", "superscript-init-value", "5000-digit-literal", "not-utf8"],
+)
+def test_bad_litmus_input_exit_two(capsys, tmp_path, source):
+    path = tmp_path / "bad.litmus"
+    if isinstance(source, bytes):
+        path.write_bytes(source)
+    else:
+        path.write_text(source, encoding="utf-8")
+    code, out, err = run_cli(capsys, "check", str(path))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and str(path) in err
+
+
+def _synopsis_flags(readme: str) -> dict[str, set[str]]:
+    """The flags the README's CLI synopsis lists, per subcommand."""
+    block = readme.split("## CLI", 1)[1].split("```", 2)[1]
+    flags: dict[str, set[str]] = {}
+    for line in block.strip().splitlines():
+        words = line.split()
+        if not line.startswith(" "):
+            command = words[1]
+            flags[command] = set()
+        flags[command] |= {w.strip("[]") for w in words if w.strip("[").startswith("--")}
+    return flags
+
+
+def test_readme_synopsis_matches_parser():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    subparsers = next(a for a in _build_parser()._actions if a.choices)
+    parsed = {
+        name: {o for a in sub._actions for o in a.option_strings if o.startswith("--")} - {"--help"}
+        for name, sub in subparsers.choices.items()
+    }
+    assert _synopsis_flags(readme) == parsed
 
 
 def test_module_entry_point():

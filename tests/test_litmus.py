@@ -13,7 +13,6 @@ from memlit.litmus import (
     ValidationError,
     format_test,
     parse,
-    to_config,
 )
 from memlit.model import InstrKind
 
@@ -108,23 +107,23 @@ class TestFormat:
 
 class TestToConfig:
     def test_fence_position(self):
-        cfg = to_config(parse(IRIW))
+        cfg = parse(IRIW).config
         fence = cfg.instruction("I22")
         assert fence.kind is InstrKind.FENCE
         assert fence.issuer == "M2" and fence.index == 2
 
     def test_single_master_single_store(self):
-        cfg = to_config(parse('litmus "s"\nmaster M1 { I1: ST a1 #1; I2: LD R1 a1; }\nallowed M1:R1 = 1\n'))
+        cfg = parse('litmus "s"\nmaster M1 { I1: ST a1 #1; I2: LD R1 a1; }\nallowed M1:R1 = 1\n').config
         assert cfg.masters == ("M1",)
         assert [i.id for i in cfg.program_of("M1")] == ["I1", "I2"]
 
     def test_atomic_keywords_map_to_kinds(self):
-        cfg = to_config(corpus.load("iriw-atomic"))
+        cfg = corpus.load("iriw-atomic").config
         assert cfg.instruction("I11").kind is InstrKind.SC_REL_STORE
         assert cfg.instruction("I21").kind is InstrKind.SC_ACQ_LOAD
 
     def test_domains_inferred_with_zero(self):
-        cfg = to_config(parse('litmus "v"\nmaster M1 { I1: ST a1 #7; }\nmaster M2 { I2: LD R1 a1; }\nallowed M2:R1 = 7\n'))
+        cfg = parse('litmus "v"\nmaster M1 { I1: ST a1 #7; }\nmaster M2 { I2: LD R1 a1; }\nallowed M2:R1 = 7\n').config
         assert cfg.values == {0, 7}
         assert cfg.addresses == {"a1"}
         assert cfg.registers == {"R1"}

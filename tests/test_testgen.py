@@ -123,6 +123,41 @@ class TestDocuments:
         assert not res.ok
         assert any("replay" in p for p in res.problems)
 
+    @pytest.mark.parametrize(
+        "defect, wanted",
+        [
+            ("not-json", "not a test document"),
+            ("no-litmus", "not a test document"),
+            ("not-utf8", "not a test document"),
+            ("pair-label-Cx", "target names no combo M2:Cx"),
+            ("pair-label-C99", "target names no combo M2:C99"),
+            ("pair-master-M9", "target names no combo M9:C0"),
+            ("target-list", "malformed target or outcome field"),
+            ("allowed-int", "malformed target or outcome field"),
+        ],
+    )
+    def test_malformed_document_fails_without_raising(self, iriw_fence, defect, wanted):
+        tc = find_trace(iriw_fence, TestTarget(goal=PairGoal(("M2", "M3"), (0, 0))))
+        doc = json.loads(emit_test(tc))
+        text = None
+        if defect == "not-json":
+            text = "{"
+        elif defect == "no-litmus":
+            del doc["litmus"]
+        elif defect == "not-utf8":
+            text = json.dumps(doc).encode().replace(b"iriw-fence-target", b"\xff")
+        elif defect.startswith("pair-label-"):
+            doc["target"]["pair"]["M2"] = defect.rsplit("-", 1)[1]
+        elif defect == "pair-master-M9":
+            doc["target"]["pair"] = {"M9": "C0"}
+        elif defect == "target-list":
+            doc["target"] = []
+        else:
+            doc["allowed"] = 3
+        res = verify_test(json.dumps(doc) if text is None else text)
+        assert not res.ok
+        assert any(wanted in p for p in res.problems), res.problems
+
 
 class TestPlatformCase:
     def test_iriw_allowed_outcomes_exclude_forbidden_pair(self, iriw_fence):
