@@ -5,12 +5,10 @@ from .kernel import (
     EventDescriptor,
     GuardFailed,
     MachineState,
-    ahead_of,
     check_state_invariants,
     enabled_events,
     fire,
     init_state,
-    load_return_value,
 )
 from .litmus import LitmusTest, OutcomeMode, ParseError, ValidationError, format_test, parse
 from .model import Instruction, InstrKind, InvalidConfig, SystemConfig
@@ -20,7 +18,6 @@ from .explorer import (
     StateLimitExceeded,
     Verdict,
     check_outcome,
-    check_trace_orderings,
     explore,
     explore_test,
     replay,
@@ -44,17 +41,14 @@ __all__ = [
     "SystemConfig",
     "ValidationError",
     "Verdict",
-    "ahead_of",
     "check_outcome",
     "check_state_invariants",
-    "check_trace_orderings",
     "enabled_events",
     "explore",
     "explore_test",
     "fire",
     "format_test",
     "init_state",
-    "load_return_value",
     "parse",
     "replay",
 ]

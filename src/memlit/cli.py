@@ -333,10 +333,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_state_caps(args: argparse.Namespace) -> None:
+    """Reject state caps below 1; subcommands without a cap lack the field."""
+    for dest in ("max_states", "sample_states"):
+        n = getattr(args, dest, 1)
+        if n < 1:
+            flag = "--" + dest.replace("_", "-")
+            raise _CliError(EXIT_USAGE, f"{flag} must be at least 1, got {n}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_state_caps(args)
         return args.func(args)
     except _CliError as e:
         print(e.message, file=sys.stderr)

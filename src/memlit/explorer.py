@@ -1,4 +1,4 @@
-"""Exhaustive interleaving exploration and trace-level checking.
+"""Exhaustive interleaving exploration, outcome verdicts and replay.
 
 ``explore`` runs a breadth-first closure over the kernel transition
 relation with packed-state deduplication, so counterexample traces are
@@ -20,13 +20,9 @@ from .kernel import (
     EventDescriptor,
     InternalEvent,
     MachineState,
-    Violation,
-    apply_event,
-    check_state_invariants,
     register_file,
     successors,
     to_descriptor,
-    to_internal,
     unpack,
 )
 from .litmus import LitmusTest, OutcomeMode
@@ -58,13 +54,6 @@ class ReplayError(Exception):
         self.step = step
         self.cause = cause
         super().__init__(f"step {step}: {cause}")
-
-
-class InvariantViolated(Exception):
-    def __init__(self, violations: list[Violation], trace: Trace):
-        self.violations = violations
-        self.trace = trace
-        super().__init__("; ".join(f"{v.invariant}: {v.message}" for v in violations))
 
 
 def _rf_snapshot(cc: CompiledConfig, rf: tuple[tuple[int, ...], ...]) -> RegisterMap:
@@ -135,7 +124,6 @@ def explore(
     config: SystemConfig,
     *,
     max_states: int = DEFAULT_MAX_STATES,
-    check_invariants: bool = False,
     watched_loads: frozenset[str] | None = None,
     name: str = "",
 ) -> ExplorationResult:
@@ -149,7 +137,6 @@ def explore(
     result, _, _ = _explore_full(
         config,
         max_states=max_states,
-        check_invariants=check_invariants,
         watched_loads=watched_loads,
         name=name,
         stop_predicate=None,
@@ -241,7 +228,6 @@ def _explore_full(
     config: SystemConfig,
     *,
     max_states: int,
-    check_invariants: bool,
     watched_loads: frozenset[str] | None,
     name: str,
     stop_predicate,
@@ -256,14 +242,9 @@ def _explore_full(
     rf_shift, rf_mask = cc.rf_shift, cc.rf_mask
     # Trigger rf fields, each with the first state that reached it.
     triggers: dict[int, int] = {}
-    violations: list[Violation] = []
 
     def visit(p: int) -> bool:
-        """Invariant and trigger bookkeeping; True stops the search here."""
-        if check_invariants:
-            violations.extend(check_state_invariants(unpack(cc, p), config))
-            if violations:
-                return True
+        """Trigger bookkeeping; True stops the search here."""
         if p & watched != watched:
             return False
         rf = (p >> rf_shift) & rf_mask
@@ -273,8 +254,6 @@ def _explore_full(
         return stop_predicate is not None and stop_predicate(rf)
 
     space = _bfs(cc.initial_state, partial(successors, cc), visit, max_states)
-    if violations:
-        raise InvariantViolated(violations, space.trace_to(cc, space.stop))
 
     final_states = [unpack(cc, p) for p in space.finals]
     result = ExplorationResult(
@@ -300,13 +279,11 @@ def explore_test(
     test: LitmusTest,
     *,
     max_states: int = DEFAULT_MAX_STATES,
-    check_invariants: bool = False,
 ) -> ExplorationResult:
     """Explore a litmus test's configuration, watching its loads."""
     return explore(
         test.config,
         max_states=max_states,
-        check_invariants=check_invariants,
         watched_loads=test.watched_loads,
         name=test.name,
     )
@@ -380,7 +357,6 @@ def check_outcome(
     result, space, witness_state = _explore_full(
         test.config,
         max_states=max_states,
-        check_invariants=False,
         watched_loads=test.watched_loads,
         name=test.name,
         stop_predicate=stop,
@@ -402,160 +378,26 @@ def check_outcome(
 
 def replay(config: SystemConfig, trace: Trace) -> MachineState:
     """Fold ``fire`` over the trace from the initial state."""
-    cc, states = _replay(config, trace, enforce_guards=True)
+    cc, states = _replay(config, trace)
     return unpack(cc, states[-1])
 
 
-def replay_states(
-    config: SystemConfig, trace: Trace, enforce_guards: bool = True
-) -> list[MachineState]:
+def replay_states(config: SystemConfig, trace: Trace) -> list[MachineState]:
     """All intermediate states (len(trace)+1 entries).  A step that names
-    no event instance, or whose guard fails, raises ReplayError.
-
-    With ``enforce_guards`` off, actions are applied regardless of guard
-    failures so ordering checkers can judge corrupted sequences.
-    """
-    cc, states = _replay(config, trace, enforce_guards)
+    no event instance, or whose guard fails, raises ReplayError."""
+    cc, states = _replay(config, trace)
     return [unpack(cc, p) for p in states]
 
 
-def _replay(
-    config: SystemConfig, trace: Trace, enforce_guards: bool
-) -> tuple[CompiledConfig, list[int]]:
+def _replay(config: SystemConfig, trace: Trace) -> tuple[CompiledConfig, list[int]]:
     """The packed states of a replay."""
     cc = compile_config(config)
     p = cc.initial_state
     states = [p]
     for i, ev in enumerate(trace):
         try:
-            if enforce_guards:
-                p = kernel.step(cc, p, ev)
-            else:
-                p = apply_event(cc, p, to_internal(cc, ev))
+            p = kernel.step(cc, p, ev)
         except kernel.GuardFailed as e:
             raise ReplayError(i, e) from None
         states.append(p)
     return cc, states
-
-
-# ---------------------------------------------------------------------------
-# Trace-level ordering checkers (program order / coherence / happens-before)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PropertyResult:
-    status: str  # "pass" / "fail" / "not-applicable"
-    witnesses: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class OrderingReport:
-    po: PropertyResult
-    co: PropertyResult
-    hb: PropertyResult
-
-    def all_pass(self) -> bool:
-        return all(r.status != "fail" for r in (self.po, self.co, self.hb))
-
-
-def _sync_ordered(cc: CompiledConfig, x: int, y: int) -> bool:
-    """Program-order pairs whose observation order is pinned by a fence or
-    an atomic: a fence between them, a release store after, or an acquire
-    load before."""
-    if cc.issuer_ix[x] != cc.issuer_ix[y] or cc.index_of[x] >= cc.index_of[y]:
-        return False
-    if cc.kind[y] is InstrKind.SC_REL_STORE or cc.kind[x] is InstrKind.SC_ACQ_LOAD:
-        return True
-    return any(
-        cc.index_of[x] < cc.index_of[f] < cc.index_of[y]
-        for f in cc.fences_of_master[cc.issuer_ix[x]]
-    )
-
-
-def check_trace_orderings(
-    config: SystemConfig, trace: Trace, enforce_guards: bool = True
-) -> OrderingReport:
-    """Judge po/co/hb on one concrete event sequence.
-
-    The checkers recompute everything from the raw events: observation
-    steps per master, an independent last-observed-value fold for co, and
-    the before/after bookkeeping of stores for hb.
-    """
-    cc = compile_config(config)
-    states = replay_states(config, trace, enforce_guards=enforce_guards)
-
-    obs_step: dict[tuple[int, int], int] = {}  # (master, slot) -> step
-    last_value: dict[tuple[int, int], int] = {}  # (master, addr) -> value fold
-    co_witnesses: list[str] = []
-    hb_witnesses: list[str] = []
-    hb_applicable = False
-    internal = [to_internal(cc, ev) for ev in trace]
-
-    for step, (ev, desc) in enumerate(zip(internal, trace)):
-        code, x, m, f, s = ev
-        if code in kernel.ISSUE_CODES:
-            continue
-        obs_step.setdefault((m, x), step)
-        if code in (kernel.OBS_STORE_WOF, kernel.OBS_STORE_WF, kernel.OBS_SC_REL_STORE):
-            last_value[(m, cc.addr_ix[x])] = cc.value_of[x]
-            continue
-        # Load observation: the register write must equal the last store
-        # value this master observed for the address (or the initial one).
-        expected = last_value.get(
-            (m, cc.addr_ix[x]), cc.initial_lov[m][cc.addr_ix[x]]
-        )
-        got = states[step + 1].rf[m][cc.reg_ix[x]]
-        if got != expected:
-            co_witnesses.append(
-                f"step {step}: {desc.name} {cc.instrs[x].id} returned {got}, "
-                f"last observed store value is {expected}"
-            )
-        if code == kernel.OBS_LOAD_HB_WF and s >= 0:
-            hb_applicable = True
-            already_after = states[step].after[s]
-            if already_after:
-                names = sorted(cc.mask_to_instr_ids(already_after))
-                hb_witnesses.append(
-                    f"step {step}: {cc.instrs[x].id} observed before store "
-                    f"{cc.instrs[s].id}, but loads {names} were already observed after it"
-                )
-        if code in (kernel.OBS_LOAD_AS_WF, kernel.OBS_LOAD_AS_WOF):
-            hb_applicable = True
-
-    po_witnesses: list[str] = []
-    sync_pairs = [
-        (x, y)
-        for x in range(cc.n_instr)
-        for y in range(cc.n_instr)
-        if (cc.access_mask >> x) & 1 and (cc.access_mask >> y) & 1 and _sync_ordered(cc, x, y)
-    ]
-    for x, y in sync_pairs:
-        for mi, master in enumerate(cc.masters):
-            sx, sy = obs_step.get((mi, x)), obs_step.get((mi, y))
-            if sx is not None and sy is not None and sx > sy:
-                po_witnesses.append(
-                    f"{master} observed {cc.instrs[y].id} (step {sy}) before "
-                    f"{cc.instrs[x].id} (step {sx}) against program order"
-                )
-
-    def verdict(applicable: bool, witnesses: list[str]) -> PropertyResult:
-        if witnesses:
-            return PropertyResult("fail", tuple(witnesses))
-        return PropertyResult("pass" if applicable else "not-applicable")
-
-    any_load = any(
-        ev[0]
-        in (
-            kernel.OBS_LOAD_HB_WF,
-            kernel.OBS_LOAD_AS_WF,
-            kernel.OBS_LOAD_WOF,
-            kernel.OBS_LOAD_AS_WOF,
-            kernel.OBS_SC_ACQ_LOAD,
-        )
-        for ev in internal
-    )
-    return OrderingReport(
-        po=verdict(bool(sync_pairs), po_witnesses),
-        co=verdict(any_load, co_witnesses),
-        hb=verdict(hb_applicable, hb_witnesses),
-    )

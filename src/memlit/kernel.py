@@ -84,14 +84,6 @@ class GuardFailed(Exception):
         super().__init__(msg)
 
 
-class UnknownLoad(Exception):
-    pass
-
-
-class NotAFence(Exception):
-    pass
-
-
 class MachineState(NamedTuple):
     """Machine variables: the public view of a packed state.
 
@@ -234,35 +226,6 @@ def init_state(config: SystemConfig) -> MachineState:
     every register at 0."""
     cc = compile_config(config)
     return unpack(cc, cc.initial_state)
-
-
-def ahead_of(config: SystemConfig, fence_id: str) -> frozenset[str]:
-    """Memory accesses of the fence's issuer earlier in program order."""
-    cc = compile_config(config)
-    try:
-        slot = cc.slot(fence_id)
-    except KeyError:
-        raise NotAFence(f"unknown instruction {fence_id!r}") from None
-    if cc.kind[slot] is not InstrKind.FENCE:
-        raise NotAFence(f"{fence_id} is a {cc.kind[slot].value}, not a fence")
-    return cc.mask_to_instr_ids(cc.ahead_mask[slot])
-
-
-def load_return_value(state: MachineState, config: SystemConfig, m: str, l: str) -> int:
-    """Value the load l returns when observed by m: m's last observed
-    value for the load's address."""
-    cc = compile_config(config)
-    if m not in cc.master_index:
-        raise UnknownLoad(f"unknown master {m!r}")
-    try:
-        slot = cc.slot(l)
-    except KeyError:
-        raise UnknownLoad(f"unknown load {l!r}") from None
-    if cc.kind[slot] not in (InstrKind.LOAD, InstrKind.SC_ACQ_LOAD):
-        raise UnknownLoad(f"{l} is not a load")
-    if cc.issuer_ix[slot] != cc.master_index[m]:
-        raise UnknownLoad(f"{l} is not issued by {m}")
-    return state.lov[cc.master_index[m]][cc.addr_ix[slot]]
 
 
 # ---------------------------------------------------------------------------
@@ -559,30 +522,6 @@ def successors(cc: CompiledConfig, p: int) -> list[tuple[InternalEvent, int]]:
         else:
             out.append((ev, apply_event(cc, p, ev)))
     return out
-
-
-def all_event_instances(cc: CompiledConfig) -> Iterator[InternalEvent]:
-    """Exhaustive sweep of the whole event-instance space (test support)."""
-    for code in ISSUE_CODES:
-        for x in range(cc.n_instr):
-            yield (code, x, -1, -1, -1)
-    slots = range(cc.n_instr)
-    masters = range(cc.n_masters)
-    fences = list(cc.fence_slots) + [-1]
-    witnesses = list(slots) + [-1]
-    for x in slots:
-        for m in masters:
-            yield (OBS_STORE_WOF, x, m, -1, -1)
-            yield (OBS_SC_REL_STORE, x, m, -1, -1)
-            yield (OBS_SC_ACQ_LOAD, x, m, -1, -1)
-            for f in cc.fence_slots:
-                yield (OBS_STORE_WF, x, m, f, -1)
-            for s in witnesses:
-                yield (OBS_LOAD_WOF, x, m, -1, s)
-                yield (OBS_LOAD_AS_WOF, x, m, -1, s)
-                for f in fences:
-                    yield (OBS_LOAD_HB_WF, x, m, f, s)
-                    yield (OBS_LOAD_AS_WF, x, m, f, s)
 
 
 # ---------------------------------------------------------------------------

@@ -343,7 +343,11 @@ class _Parser:
             addr = self.expect("ident").text
             val_tok = self.peek()
             if val_tok.kind != "value":
-                raise self.fail("expected store value like #1")
+                # A '#' not followed by a digit starts a comment, which can
+                # hide the rest of the line: point at the store itself.
+                raise ParseError(
+                    kw.line, kw.column, f"expected store value like #1 for store {iid}"
+                )
             self.next()
             return Instruction(
                 id=iid, kind=kind, issuer=master, index=index,

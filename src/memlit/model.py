@@ -190,12 +190,6 @@ class SystemConfig:
     def instructions(self) -> tuple[Instruction, ...]:
         return tuple(ins for prog in self.programs for ins in prog)
 
-    def instruction(self, instr_id: str) -> Instruction:
-        for ins in self.instructions():
-            if ins.id == instr_id:
-                return ins
-        raise KeyError(instr_id)
-
     def initial_value(self, address: str) -> int:
         return dict(self.initial_memory)[address]
 

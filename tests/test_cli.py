@@ -1,12 +1,15 @@
-"""Command-line behavior: exit codes, JSON output, file handling."""
+"""Command-line behavior: exit codes, JSON output, file handling; and the
+README's lists of CLI flags and public names."""
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import memlit
 from memlit import corpus
 from memlit.cli import _build_parser, main
 from memlit.testgen import PairGoal, TestTarget, emit_test, find_trace
@@ -304,16 +307,22 @@ class TestFmt:
 
 
 @pytest.mark.parametrize(
-    "source",
+    "source, message",
     [
-        'litmus "t"\nmaster M1 { I1: ST a1 #\u00b2; I2: LD R1 a1; }\nallowed M1:R1 = 0\n',
-        'litmus "t"\ninit { a1 = \u00b2; }\nmaster M1 { I1: LD R1 a1; }\nallowed M1:R1 = 0\n',
-        'litmus "t"\nmaster M1 { I1: LD R1 a1; }\nallowed M1:R1 = ' + "1" * 5000 + "\n",
-        b'litmus "\xff"\nmaster M1 { I1: LD R1 a1; }\nallowed M1:R1 = 0\n',
+        # '#' before a non-digit starts a comment, so the error must point
+        # at the store, not at the next line.
+        ('litmus "t"\nmaster M1 { I1: ST a1 #\u00b2; I2: LD R1 a1; }\nallowed M1:R1 = 0\n',
+         ": 2:17: expected store value like #1 for store I1"),
+        ('litmus "t"\ninit { a1 = \u00b2; }\nmaster M1 { I1: LD R1 a1; }\nallowed M1:R1 = 0\n',
+         ": 2:13: unexpected character"),
+        ('litmus "t"\nmaster M1 { I1: LD R1 a1; }\nallowed M1:R1 = ' + "1" * 5000 + "\n",
+         ": 3:17: integer literal of 5000 digits is too long"),
+        (b'litmus "\xff"\nmaster M1 { I1: LD R1 a1; }\nallowed M1:R1 = 0\n',
+         "can't decode byte 0xff"),
     ],
     ids=["superscript-store-value", "superscript-init-value", "5000-digit-literal", "not-utf8"],
 )
-def test_bad_litmus_input_exit_two(capsys, tmp_path, source):
+def test_bad_litmus_input_exit_two(capsys, tmp_path, source, message):
     path = tmp_path / "bad.litmus"
     if isinstance(source, bytes):
         path.write_bytes(source)
@@ -323,6 +332,28 @@ def test_bad_litmus_input_exit_two(capsys, tmp_path, source):
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and str(path) in err
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["check", "{fence}"], "--max-states"),
+        (["cover", "{fence}", "--watch", "M2,M3"], "--max-states"),
+        (["gen", "{fence}", "--target", "M2:C0,M3:C0"], "--max-states"),
+        (["suite", "{dir}"], "--max-states"),
+        (["fuzz", "{fence}", "--count", "1", "--seed", "1", "--out", "{dir}"], "--sample-states"),
+    ],
+    ids=["check", "cover", "gen", "suite", "fuzz"],
+)
+def test_state_cap_below_one_exit_two(capsys, tmp_path, fence_path, argv, flag):
+    argv = [a.format(fence=fence_path, dir=tmp_path) for a in argv]
+    for value in ("0", "-1"):
+        code, out, err = run_cli(capsys, *argv, flag, value)
+        assert code == 2, value
+        assert out == ""
+        assert err == f"{flag} must be at least 1, got {value}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def _synopsis_flags(readme: str) -> dict[str, set[str]]:
@@ -346,6 +377,13 @@ def test_readme_synopsis_matches_parser():
         for name, sub in subparsers.choices.items()
     }
     assert _synopsis_flags(readme) == parsed
+
+
+def test_readme_public_names_match_all():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    library = readme.split("## Library", 1)[1]
+    line = next(l for l in library.splitlines() if l.startswith("Public names"))
+    assert re.findall(r"`(\w+)`", line.split(":", 1)[1]) == memlit.__all__
 
 
 def test_module_entry_point():

@@ -13,17 +13,12 @@ from memlit.kernel import (
     RULES,
     EventDescriptor,
     GuardFailed,
-    NotAFence,
-    UnknownLoad,
-    ahead_of,
-    all_event_instances,
     apply_event,
     check_guards,
     check_state_invariants,
     enabled_events,
     fire,
     init_state,
-    load_return_value,
     pack,
     successors,
     to_descriptor,
@@ -31,7 +26,7 @@ from memlit.kernel import (
 )
 from memlit.model import Instruction, InstrKind, InvalidConfig, SystemConfig, compile_config
 
-from oracle import fold_lov, random_config, random_walk
+from oracle import all_event_instances, fold_lov, random_config, random_walk
 
 
 def make_config(programs: dict[str, list[tuple]], init=None) -> SystemConfig:
@@ -126,12 +121,13 @@ class TestPacking:
 
 class TestAheadOf:
     def test_iriw_fence_predecessors(self, iriw_fence):
-        assert ahead_of(iriw_fence.config, "I22") == {"I21"}
-        assert ahead_of(iriw_fence.config, "I32") == {"I31"}
+        cc = compile_config(iriw_fence.config)
+        assert cc.mask_to_instr_ids(cc.ahead_mask[cc.slot("I22")]) == {"I21"}
+        assert cc.mask_to_instr_ids(cc.ahead_mask[cc.slot("I32")]) == {"I31"}
 
     def test_fence_first_has_no_predecessors(self):
-        cfg = make_config({"M1": [(InstrKind.FENCE,), (InstrKind.STORE, "a1", 1)]})
-        assert ahead_of(cfg, "M1_1") == set()
+        cc = compile_config(make_config({"M1": [(InstrKind.FENCE,), (InstrKind.STORE, "a1", 1)]}))
+        assert cc.mask_to_instr_ids(cc.ahead_mask[cc.slot("M1_1")]) == set()
 
     def test_two_stores_before_fence(self):
         cfg = make_config({
@@ -142,13 +138,8 @@ class TestAheadOf:
                 (InstrKind.LOAD, "a1", "R1"),
             ]
         })
-        assert ahead_of(cfg, "M1_3") == {"M1_1", "M1_2"}
-
-    def test_not_a_fence(self, iriw_fence):
-        with pytest.raises(NotAFence):
-            ahead_of(iriw_fence.config, "I21")
-        with pytest.raises(NotAFence):
-            ahead_of(iriw_fence.config, "nope")
+        cc = compile_config(cfg)
+        assert cc.mask_to_instr_ids(cc.ahead_mask[cc.slot("M1_3")]) == {"M1_1", "M1_2"}
 
 
 class TestEnabledEvents:
@@ -263,15 +254,19 @@ class TestFire:
 
 
 class TestLoadReturnValue:
+    """A load returns its master's last observed value for its address."""
+
     def test_initial_value_when_nothing_observed(self, iriw_fence):
+        cc = compile_config(iriw_fence.config)
         st = init_state(iriw_fence.config)
-        assert load_return_value(st, iriw_fence.config, "M2", "I21") == 0
+        assert st.lov[cc.master_index["M2"]][cc.addr_ix[cc.slot("I21")]] == 0
 
     def test_observed_store_value(self, iriw_fence):
         cfg = iriw_fence.config
+        cc = compile_config(cfg)
         st = fire(init_state(cfg), cfg, EventDescriptor(name="IssueStore", s="I11"))
         st = fire(st, cfg, EventDescriptor(name="ObserveStoreWithoutFence", s="I11", m="M2"))
-        assert load_return_value(st, cfg, "M2", "I21") == 1
+        assert st.lov[cc.master_index["M2"]][cc.addr_ix[cc.slot("I21")]] == 1
 
     def test_two_stores_last_wins(self):
         cfg = make_config({
@@ -287,14 +282,8 @@ class TestLoadReturnValue:
             EventDescriptor(name="IssueLoad", l="M2_1"),
         ):
             st = fire(st, cfg, ev)
-        assert load_return_value(st, cfg, "M2", "M2_1") == 2
-
-    def test_unknown_load_rejected(self, iriw_fence):
-        st = init_state(iriw_fence.config)
-        with pytest.raises(UnknownLoad):
-            load_return_value(st, iriw_fence.config, "M2", "I11")
-        with pytest.raises(UnknownLoad):
-            load_return_value(st, iriw_fence.config, "M3", "I21")
+        cc = compile_config(cfg)
+        assert st.lov[cc.master_index["M2"]][cc.addr_ix[cc.slot("M2_1")]] == 2
 
 
 class TestStateInvariants:
@@ -554,9 +543,8 @@ class TestTraceProperties:
         # Independent coherence fold: every load got the last value its
         # master observed for the address.
         final = prev
-        fold = fold_lov(cfg, events)
         by_slot = {}
-        for step, slot, value in fold["loads"]:
+        for step, slot, value in fold_lov(cfg, events):
             by_slot[slot] = value
         for slot, value in by_slot.items():
             mi = cc.issuer_ix[slot]

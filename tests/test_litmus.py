@@ -66,8 +66,8 @@ class TestParse:
             "master M2 { I2: LD R1 a1; }\n"
             "allowed M2:R1 = 1\n"
         )
-        ins = t.config.instruction("I1")
-        assert ins.value == 1
+        ins = t.config.program_of("M1")[0]
+        assert ins.id == "I1" and ins.value == 1
 
     def test_missing_outcome_rejected(self):
         with pytest.raises(ParseError):
@@ -108,7 +108,8 @@ class TestFormat:
 class TestToConfig:
     def test_fence_position(self):
         cfg = parse(IRIW).config
-        fence = cfg.instruction("I22")
+        fence = cfg.program_of("M2")[1]
+        assert fence.id == "I22"
         assert fence.kind is InstrKind.FENCE
         assert fence.issuer == "M2" and fence.index == 2
 
@@ -119,8 +120,9 @@ class TestToConfig:
 
     def test_atomic_keywords_map_to_kinds(self):
         cfg = corpus.load("iriw-atomic").config
-        assert cfg.instruction("I11").kind is InstrKind.SC_REL_STORE
-        assert cfg.instruction("I21").kind is InstrKind.SC_ACQ_LOAD
+        store, load = cfg.program_of("M1")[0], cfg.program_of("M2")[0]
+        assert (store.id, store.kind) == ("I11", InstrKind.SC_REL_STORE)
+        assert (load.id, load.kind) == ("I21", InstrKind.SC_ACQ_LOAD)
 
     def test_domains_inferred_with_zero(self):
         cfg = parse('litmus "v"\nmaster M1 { I1: ST a1 #7; }\nmaster M2 { I2: LD R1 a1; }\nallowed M2:R1 = 7\n').config
