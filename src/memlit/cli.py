@@ -333,9 +333,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_state_caps(args: argparse.Namespace) -> None:
-    """Reject state caps below 1; subcommands without a cap lack the field."""
-    for dest in ("max_states", "sample_states"):
+def _check_lower_bounds(args: argparse.Namespace) -> None:
+    """Reject state caps and length bounds below 1; subcommands without
+    such an option lack the field."""
+    for dest in ("max_states", "sample_states", "max_len"):
         n = getattr(args, dest, 1)
         if n < 1:
             flag = "--" + dest.replace("_", "-")
@@ -346,7 +347,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_state_caps(args)
+        _check_lower_bounds(args)
         return args.func(args)
     except _CliError as e:
         print(e.message, file=sys.stderr)

@@ -4,8 +4,8 @@ coverage across a suite of tests.
 A register combination (combo) is one total assignment of values to a
 master's registers.  Combos are enumerated in a fixed order and named
 C0, C1, ...; the coverage relation of a test is the set of combo pairs of
-the two watched masters reached in states where all watched loads have
-been observed.
+the two watched masters reached in states where every load has been
+observed.
 """
 
 from __future__ import annotations
@@ -68,16 +68,13 @@ def cover(
 ) -> CoverageRelation:
     """Register-combination coverage of ``watched`` masters.
 
-    ``result`` must come from exploring the test with its loads watched;
-    the relation holds one pair per register snapshot reached in a state
-    where all watched loads were observed.
+    ``result`` must come from exploring the test's configuration; the
+    relation holds one pair per register snapshot reached in a state where
+    every load was observed.
     """
     for m in watched:
         if m not in test.config.masters:
             raise KeyError(f"watched master {m!r} not in configuration")
-    if result.trigger_register_maps is None:
-        raise ValueError("exploration result carries no trigger-state registers; "
-                         "explore with watched loads")
 
     combos = reg_combos(test.config.registers, test.config.values)
     regs = sorted(test.config.registers)

@@ -3,8 +3,8 @@
 ``explore`` runs a breadth-first closure over the kernel transition
 relation with packed-state deduplication, so counterexample traces are
 shortest.  ``check_outcome`` evaluates a litmus test's outcome invariant
-at every reachable state; the invariant triggers once all watched loads
-have been observed.
+at every reachable state; the invariant triggers once every load has
+been observed.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .kernel import (
     unpack,
 )
 from .litmus import LitmusTest, OutcomeMode
-from .model import CompiledConfig, InstrKind, SystemConfig, compile_config
+from .model import CompiledConfig, SystemConfig, compile_config
 
 DEFAULT_MAX_STATES = 10_000_000
 
@@ -73,10 +73,11 @@ class ExplorationResult:
     final_states: list[MachineState]
     final_register_maps: frozenset[tuple[tuple[int, ...], ...]]
     event_tally: dict[str, int]
-    trigger_register_maps: frozenset[tuple[tuple[int, ...], ...]] | None
+    # Register files of the states in which every load is observed.
+    trigger_register_maps: frozenset[tuple[tuple[int, ...], ...]]
     compiled: CompiledConfig = field(repr=False)
-    # Shortest trace to the first trigger state found; None without
-    # watched loads or when no trigger state is reachable.
+    # Shortest trace to the first trigger state found; None when no state
+    # observes every load.
     witness: Trace | None = None
 
     def _sorted_maps(self, rfs) -> list[RegisterMap]:
@@ -89,7 +90,7 @@ class ExplorationResult:
         return self._sorted_maps(self.final_register_maps)
 
     def trigger_maps(self) -> list[RegisterMap]:
-        return self._sorted_maps(self.trigger_register_maps or ())
+        return self._sorted_maps(self.trigger_register_maps)
 
     def to_json(self) -> dict:
         return {
@@ -101,45 +102,17 @@ class ExplorationResult:
         }
 
 
-def _watched_mask(cc: CompiledConfig, watched_loads: frozenset[str] | None) -> int:
-    if not watched_loads:
-        return 0
-    mask = 0
-    for lid in watched_loads:
-        slot = cc.slot(lid)
-        if cc.kind[slot] not in (InstrKind.LOAD, InstrKind.SC_ACQ_LOAD):
-            raise ValueError(f"watched instruction {lid} is not a load")
-        mask |= 1 << slot
-    return mask
-
-
-def _watched_observers(cc: CompiledConfig, watched_loads: frozenset[str] | None) -> int:
-    """Observer bits of packed states in which every watched load is
-    observed: only its issuer observes a load."""
-    slots = _watched_mask(cc, watched_loads)
-    return sum(cc.obs_bit[x][cc.issuer_ix[x]] for x in range(cc.n_instr) if (slots >> x) & 1)
-
-
 def explore(
     config: SystemConfig,
     *,
     max_states: int = DEFAULT_MAX_STATES,
-    watched_loads: frozenset[str] | None = None,
     name: str = "",
 ) -> ExplorationResult:
-    """Breadth-first closure of the transition system.
-
-    Passing ``watched_loads`` (possibly empty) enables trigger-state
-    register collection: the registers of every reachable state in which
-    all watched loads have been observed, and a shortest witness trace to
-    the first such state.
-    """
+    """Breadth-first closure of the transition system, collecting the
+    registers of every reachable state in which every load is observed,
+    and a shortest witness trace to the first such state."""
     result, _, _ = _explore_full(
-        config,
-        max_states=max_states,
-        watched_loads=watched_loads,
-        name=name,
-        stop_predicate=None,
+        config, max_states=max_states, name=name, stop_predicate=None
     )
     return result
 
@@ -228,7 +201,6 @@ def _explore_full(
     config: SystemConfig,
     *,
     max_states: int,
-    watched_loads: frozenset[str] | None,
     name: str,
     stop_predicate,
 ) -> tuple[ExplorationResult, _Space, int | None]:
@@ -237,15 +209,14 @@ def _explore_full(
     with a register file not seen before, and stops the search at the
     first for which it returns True."""
     cc = compile_config(config)
-    watching = watched_loads is not None
-    watched = _watched_observers(cc, watched_loads)
+    loads_observed = cc.loads_observed
     rf_shift, rf_mask = cc.rf_shift, cc.rf_mask
     # Trigger rf fields, each with the first state that reached it.
     triggers: dict[int, int] = {}
 
     def visit(p: int) -> bool:
         """Trigger bookkeeping; True stops the search here."""
-        if p & watched != watched:
+        if p & loads_observed != loads_observed:
             return False
         rf = (p >> rf_shift) & rf_mask
         if rf in triggers:
@@ -263,14 +234,9 @@ def _explore_full(
         final_states=final_states,
         final_register_maps=frozenset(st.rf for st in final_states),
         event_tally={kernel.EVENT_NAMES[i]: n for i, n in enumerate(space.tally)},
-        trigger_register_maps=(
-            frozenset(register_file(cc, rf) for rf in triggers) if watching else None
-        ),
+        trigger_register_maps=frozenset(register_file(cc, rf) for rf in triggers),
         compiled=cc,
-        witness=(
-            space.trace_to(cc, next(iter(triggers.values())))
-            if watching and triggers else None
-        ),
+        witness=space.trace_to(cc, next(iter(triggers.values()))) if triggers else None,
     )
     return result, space, space.stop
 
@@ -280,13 +246,8 @@ def explore_test(
     *,
     max_states: int = DEFAULT_MAX_STATES,
 ) -> ExplorationResult:
-    """Explore a litmus test's configuration, watching its loads."""
-    return explore(
-        test.config,
-        max_states=max_states,
-        watched_loads=test.watched_loads,
-        name=test.name,
-    )
+    """Explore a litmus test's configuration under the test's name."""
+    return explore(test.config, max_states=max_states, name=test.name)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +318,6 @@ def check_outcome(
     result, space, witness_state = _explore_full(
         test.config,
         max_states=max_states,
-        watched_loads=test.watched_loads,
         name=test.name,
         stop_predicate=stop,
     )

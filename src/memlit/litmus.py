@@ -122,7 +122,12 @@ class LitmusTest:
     config: SystemConfig
     outcome: OutcomePredicate
     outcome_mode: OutcomeMode
-    watched_loads: frozenset[str]
+
+    @property
+    def watched_loads(self) -> frozenset[str]:
+        """The ids of every load: the outcome is judged once all of them
+        have been observed."""
+        return frozenset(i.id for i in self.config.instructions() if i.is_load())
 
 
 # --------------------------------------------------------------------------
@@ -421,10 +426,7 @@ def _build_test(
     config = SystemConfig.build(
         masters, programs, initial_memory=init, extra_values=outcome_values
     )
-    watched = frozenset(i.id for prog in programs.values() for i in prog if i.is_load())
-    return LitmusTest(
-        name=name, config=config, outcome=outcome, outcome_mode=mode, watched_loads=watched,
-    )
+    return LitmusTest(name=name, config=config, outcome=outcome, outcome_mode=mode)
 
 
 def parse(text: str) -> LitmusTest:

@@ -59,9 +59,6 @@ class Instruction:
     value: int | None = None
     register: str | None = None
 
-    def is_store(self) -> bool:
-        return self.kind in STORE_KINDS
-
     def is_load(self) -> bool:
         return self.kind in LOAD_KINDS
 
@@ -189,9 +186,6 @@ class SystemConfig:
 
     def instructions(self) -> tuple[Instruction, ...]:
         return tuple(ins for prog in self.programs for ins in prog)
-
-    def initial_value(self, address: str) -> int:
-        return dict(self.initial_memory)[address]
 
 
 class CompiledConfig:
@@ -333,6 +327,11 @@ class CompiledConfig:
             obs_field.append(self.all_masters_mask << sh)
             obs_bit.append(tuple([1 << (sh + m) for m in range(n_m)]))
         self.obs_shift, self.obs_field, self.obs_bit = map(tuple, (obs_shift, obs_field, obs_bit))
+        # The observer bits set exactly when every load is observed: only
+        # a load's issuer ever observes it.
+        self.loads_observed = sum(
+            [obs_bit[x][self.issuer_ix[x]] for x in range(n) if self.is_load[x]]
+        )
         pos = n + n * n_m
 
         n_a, n_r = len(self.addr_names), len(self.reg_names)

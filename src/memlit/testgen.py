@@ -21,11 +21,9 @@ from .explorer import (
     StateLimitExceeded,
     Trace,
     _bfs,
+    _replay,
     _rf_snapshot,
-    _watched_mask,
-    _watched_observers,
     explore,
-    replay,
 )
 from .coverage import combo_label, reg_combos
 from .kernel import (
@@ -71,16 +69,18 @@ class PairGoal:
 
 @dataclass(frozen=True)
 class TestTarget:
-    """``goal`` may be a register-combo pair, an outcome predicate, or
-    None to accept any state with all watched loads observed."""
+    """``goal`` may be a register-combo pair, or None to accept any state
+    with every load observed."""
 
     __test__ = False  # not a pytest class
 
-    goal: PairGoal | OutcomePredicate | None
+    goal: PairGoal | None
     must_cover: frozenset[str] = frozenset()
     only_these: bool = False
 
     def validate(self) -> None:
+        if self.goal is not None and not isinstance(self.goal, PairGoal):
+            raise ValueError(f"goal must be a PairGoal or None, got {self.goal!r}")
         unknown = self.must_cover - set(EVENT_NAMES)
         if unknown:
             raise ValueError(f"unknown event names in mustCover: {sorted(unknown)}")
@@ -130,29 +130,26 @@ class TestCase:
         )
 
 
-def _goal_checker(test: LitmusTest, goal: PairGoal | OutcomePredicate | None):
+def _goal_checker(test: LitmusTest, goal: PairGoal | None):
     """The goal as a function of an rf field (``kernel.registers``)."""
-    cc = compile_config(test.config)
     if goal is None:
         return lambda rf: True
-    if isinstance(goal, PairGoal):
-        combos = reg_combos(test.config.registers, test.config.values)
-        regs = sorted(test.config.registers)
-        # The wanted register values as bits of the rf field.
-        mask = want = 0
-        for master, combo_ix in zip(goal.watched, goal.combo_indices):
-            if master not in cc.master_index:
-                raise KeyError(f"unknown master {master!r} in target")
-            if not 0 <= combo_ix < len(combos):
-                raise ValueError(f"combo index {combo_ix} out of range for {len(combos)} combos")
-            combo = combos[combo_ix]
-            for r in regs:
-                sh = cc.reg_shift[cc.master_index[master]][cc.reg_index[r]] - cc.rf_shift
-                mask |= cc.value_mask << sh
-                want |= cc.value_index[combo[r]] << sh
-        return lambda rf: rf & mask == want
-
-    return lambda rf: goal.evaluate(_rf_snapshot(cc, register_file(cc, rf)))
+    cc = compile_config(test.config)
+    combos = reg_combos(test.config.registers, test.config.values)
+    regs = sorted(test.config.registers)
+    # The wanted register values as bits of the rf field.
+    mask = want = 0
+    for master, combo_ix in zip(goal.watched, goal.combo_indices):
+        if master not in cc.master_index:
+            raise KeyError(f"unknown master {master!r} in target")
+        if not 0 <= combo_ix < len(combos):
+            raise ValueError(f"combo index {combo_ix} out of range for {len(combos)} combos")
+        combo = combos[combo_ix]
+        for r in regs:
+            sh = cc.reg_shift[cc.master_index[master]][cc.reg_index[r]] - cc.rf_shift
+            mask |= cc.value_mask << sh
+            want |= cc.value_index[combo[r]] << sh
+    return lambda rf: rf & mask == want
 
 
 def find_trace(
@@ -162,8 +159,8 @@ def find_trace(
     max_states: int = DEFAULT_MAX_STATES,
     name: str | None = None,
 ) -> TestCase:
-    """Shortest trace to a state where the goal holds, all watched loads
-    are observed, and every mustCover event has fired along the way.
+    """Shortest trace to a state where the goal holds, every load is
+    observed, and every mustCover event has fired along the way.
 
     Search nodes are ints: the packed machine state, with the set of
     mustCover events fired so far in the bits above it.  The goal is
@@ -174,7 +171,7 @@ def find_trace(
     goal_holds = _goal_checker(test, target.goal)
     goal_seen: dict[int, bool] = {}
 
-    watched = _watched_observers(cc, test.watched_loads)
+    loads_observed = cc.loads_observed
     rf_shift, rf_mask = cc.rf_shift, cc.rf_mask
     state_bits = cc.state_bits
     state_mask = (1 << state_bits) - 1
@@ -194,7 +191,7 @@ def find_trace(
         ]
 
     def done(node: int) -> bool:
-        if node >> state_bits != full or node & watched != watched:
+        if node >> state_bits != full or node & loads_observed != loads_observed:
             return False
         rf = (node >> rf_shift) & rf_mask
         hit = goal_seen.get(rf)
@@ -218,12 +215,10 @@ def find_trace(
 
 def _target_json(target: TestTarget) -> dict:
     doc: dict = {"mustCover": sorted(target.must_cover), "onlyThese": target.only_these}
-    if isinstance(target.goal, PairGoal):
+    if target.goal is not None:
         doc["pair"] = {
             m: f"C{ix}" for m, ix in zip(target.goal.watched, target.goal.combo_indices)
         }
-    elif target.goal is not None:
-        doc["predicate"] = target.goal.render()
     return doc
 
 
@@ -264,12 +259,12 @@ def verify_test(doc: str | bytes | TestCase) -> VerifyResult:
         return VerifyResult(False, [f"litmus source does not parse: {e}"])
 
     try:
-        final = replay(test.config, tc.trace)
+        cc, states = _replay(test.config, tc.trace)
     except Exception as e:
         return VerifyResult(False, [f"trace does not replay: {e}"])
 
-    cc = compile_config(test.config)
-    got = _rf_snapshot(cc, final.rf)
+    final = states[-1]
+    got = _rf_snapshot(cc, register_file(cc, registers(cc, final)))
     if tc.expected is not None and got != tc.expected:
         problems.append(f"replayed registers {got} != expected {tc.expected}")
     try:  # a field of the wrong shape is a problem, not a crash
@@ -300,33 +295,9 @@ def verify_test(doc: str | bytes | TestCase) -> VerifyResult:
                     problems.append(f"trace fires events outside mustCover: {sorted(extra)}")
     except (LookupError, TypeError, AttributeError, ValueError) as e:
         problems.append(f"malformed target or outcome field: {e!r}")
-    watched_mask = _watched_mask(cc, test.watched_loads)
-    if (final.observed & watched_mask) != watched_mask:
+    if final & cc.loads_observed != cc.loads_observed:
         problems.append("trace leaves watched loads unobserved")
     return VerifyResult(not problems, problems)
-
-
-def platform_case(
-    test: LitmusTest, *, max_states: int = DEFAULT_MAX_STATES, name: str | None = None
-) -> TestCase:
-    """Platform test for one litmus test: the complete set of register
-    outcomes the model allows once all loads observe, plus a shortest
-    witness trace to one of them."""
-    res = explore(
-        test.config,
-        max_states=max_states,
-        watched_loads=test.watched_loads,
-        name=test.name,
-    )
-    allowed = res.trigger_maps()
-    if not allowed:
-        raise Unreachable(res.state_count)
-    return TestCase(
-        name=name or f"{test.name}-platform",
-        litmus=format_test(test),
-        trace=res.witness,
-        allowed=allowed,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -605,14 +576,8 @@ def generate_suite(
                 SuiteSample(index, sample_seed, None, skipped="no loads, no register outcome")
             )
             continue
-        watched = frozenset(i.id for i in config.instructions() if i.is_load())
         try:
-            res = explore(
-                config,
-                max_states=max_states_per_sample,
-                watched_loads=watched,
-                name=name,
-            )
+            res = explore(config, max_states=max_states_per_sample, name=name)
         except StateLimitExceeded:
             samples.append(SuiteSample(index, sample_seed, None, skipped="state limit"))
             continue
@@ -628,7 +593,6 @@ def generate_suite(
             config=config,
             outcome=outcome,
             outcome_mode=OutcomeMode.REQUIRED,
-            watched_loads=watched,
         )
         case = TestCase(
             name=name,

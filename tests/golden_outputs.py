@@ -87,8 +87,7 @@ def _fuzz_goldens() -> dict[str, str]:
 def random_config_facts(seed: int) -> dict:
     """Exploration facts of one seeded random config, watching every load."""
     cfg = random_config(random.Random(seed), max_per_master=RANDOM_MAX_PER_MASTER)
-    watched = frozenset(i.id for i in cfg.instructions() if i.is_load())
-    res = explore(cfg, watched_loads=watched)
+    res = explore(cfg)
     return {
         "seed": seed,
         "stateCount": res.state_count,

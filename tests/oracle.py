@@ -24,7 +24,7 @@ from memlit.kernel import (
     to_internal,
     unpack,
 )
-from memlit.model import CompiledConfig, SystemConfig, compile_config
+from memlit.model import STORE_KINDS, CompiledConfig, SystemConfig, compile_config
 
 
 def enumerate_paths(config: SystemConfig, max_paths: int = 2_000_000):
@@ -53,18 +53,18 @@ def enumerate_paths(config: SystemConfig, max_paths: int = 2_000_000):
     return finals, count
 
 
-def dfs_register_sets(config: SystemConfig, watched_loads: frozenset[str] = frozenset()):
+def dfs_register_sets(config: SystemConfig):
     """Final and trigger register sets by memoised depth-first search.
 
-    Memoisation is on packed machine states (structural equality); traversal
-    order, bookkeeping and trigger detection are all disjoint from the
-    breadth-first explorer.  Every state visited, unpacked, must pass
-    ``check_state_invariants``, which also catches pack/unpack slips.
+    A trigger state observes every load.  Memoisation is on packed machine
+    states (structural equality); traversal order, bookkeeping and trigger
+    detection are all disjoint from the breadth-first explorer, whose
+    ``cc.loads_observed`` mask this oracle does not read.  Every state
+    visited, unpacked, must pass ``check_state_invariants``, which also
+    catches pack/unpack slips.
     """
     cc = compile_config(config)
-    watched_mask = 0
-    for lid in watched_loads:
-        watched_mask |= 1 << cc.slot(lid)
+    load_mask = sum(1 << cc.slot(i.id) for i in config.instructions() if i.is_load())
 
     finals: set = set()
     triggers: set = set()
@@ -79,7 +79,7 @@ def dfs_register_sets(config: SystemConfig, watched_loads: frozenset[str] = froz
         violations = check_state_invariants(state, config)
         if violations:
             raise AssertionError(f"{state} breaks {violations}")
-        if (state.observed & watched_mask) == watched_mask:
+        if (state.observed & load_mask) == load_mask:
             triggers.add(state.rf)
         succ = successors(cc, packed)
         if not succ:
@@ -100,7 +100,8 @@ def sc_register_files(config: SystemConfig) -> set:
     """
     addrs = sorted(config.addresses)
     regs = sorted(config.registers)
-    memory = tuple(config.initial_value(a) for a in addrs)
+    initial = dict(config.initial_memory)
+    memory = tuple(initial[a] for a in addrs)
     files = tuple((0,) * len(regs) for _ in config.masters)
     finals: set = set()
     seen: set = set()
@@ -119,7 +120,7 @@ def sc_register_files(config: SystemConfig) -> set:
             ins = prog[pcs[mi]]
             nxt_pcs = pcs[:mi] + (pcs[mi] + 1,) + pcs[mi + 1 :]
             nxt_memory, nxt_files = memory, files
-            if ins.is_store():
+            if ins.kind in STORE_KINDS:
                 a = addrs.index(ins.address)
                 nxt_memory = memory[:a] + (ins.value,) + memory[a + 1 :]
             elif ins.is_load():

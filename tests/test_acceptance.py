@@ -66,9 +66,7 @@ def test_criterion_1_iriw_fence_forbidden_unreachable(iriw_fence, capsys):
 
 def test_criterion_2_coverage_fifteen_of_sixteen(iriw_fence, capsys):
     rel = cover(iriw_fence, explore_test(iriw_fence), ("M2", "M3"))
-    _finals, triggers, _seen = dfs_register_sets(
-        iriw_fence.config, iriw_fence.watched_loads
-    )
+    _finals, triggers, _seen = dfs_register_sets(iriw_fence.config)
     oracle_pairs = project_pair(iriw_fence, triggers)
     ok = (
         rel.total == 16
@@ -89,9 +87,7 @@ def test_criterion_3_no_synchronisation_relaxation(iriw_nofence, capsys):
     rel = cover(iriw_nofence, explore_test(iriw_nofence), ("M2", "M3"))
     # Independent route: depth-first enumeration, no canonical keys, no
     # breadth-first bookkeeping.
-    _finals, triggers, _seen = dfs_register_sets(
-        iriw_nofence.config, iriw_nofence.watched_loads
-    )
+    _finals, triggers, _seen = dfs_register_sets(iriw_nofence.config)
     oracle_pairs = project_pair(iriw_nofence, triggers)
     ok = (
         verdict.kind == "Violated"
@@ -110,9 +106,7 @@ def test_criterion_3_no_synchronisation_relaxation(iriw_nofence, capsys):
 def test_criterion_4_atomic_variant(iriw_fence, iriw_atomic, capsys):
     verdict = check_outcome(iriw_atomic)
     rel = cover(iriw_atomic, explore_test(iriw_atomic), ("M2", "M3"))
-    _finals, triggers, _seen = dfs_register_sets(
-        iriw_atomic.config, iriw_atomic.watched_loads
-    )
+    _finals, triggers, _seen = dfs_register_sets(iriw_atomic.config)
     oracle_pairs = project_pair(iriw_atomic, triggers)
     fence_rel = cover(iriw_fence, explore_test(iriw_fence), ("M2", "M3"))
 
@@ -212,7 +206,7 @@ def test_criterion_7b_oracle_equivalence_on_corpus(all_corpus, capsys):
         if len(test.config.instructions()) > 8:
             continue
         res = explore_test(test)
-        finals, triggers, seen = dfs_register_sets(test.config, test.watched_loads)
+        finals, triggers, seen = dfs_register_sets(test.config)
         assert res.final_register_maps == frozenset(finals), name
         assert res.trigger_register_maps == frozenset(triggers), name
         assert res.state_count == seen, name

@@ -343,8 +343,9 @@ def test_bad_litmus_input_exit_two(capsys, tmp_path, source, message):
         (["gen", "{fence}", "--target", "M2:C0,M3:C0"], "--max-states"),
         (["suite", "{dir}"], "--max-states"),
         (["fuzz", "{fence}", "--count", "1", "--seed", "1", "--out", "{dir}"], "--sample-states"),
+        (["fuzz", "{fence}", "--count", "1", "--seed", "1", "--out", "{dir}"], "--max-len"),
     ],
-    ids=["check", "cover", "gen", "suite", "fuzz"],
+    ids=["check", "cover", "gen", "suite", "fuzz", "fuzz-max-len"],
 )
 def test_state_cap_below_one_exit_two(capsys, tmp_path, fence_path, argv, flag):
     argv = [a.format(fence=fence_path, dir=tmp_path) for a in argv]

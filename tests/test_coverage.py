@@ -1,5 +1,7 @@
 """Register-combination coverage and suite event coverage."""
 
+from itertools import permutations
+
 import pytest
 
 from memlit.coverage import cover, event_coverage, reg_combos
@@ -73,10 +75,13 @@ class TestCover:
         with pytest.raises(KeyError):
             cover(iriw_fence, res, ("M2", "M9"))
 
-    def test_cover_requires_trigger_data(self, iriw_fence):
-        res = explore(iriw_fence.config)  # no watched loads
-        with pytest.raises(ValueError):
-            cover(iriw_fence, res, ("M2", "M3"))
+    def test_cover_same_from_explore_and_explore_test(self, all_corpus):
+        # Every exploration collects trigger data, so cover needs no
+        # particular entry point.
+        for name, t in all_corpus.items():
+            by_config, by_test = explore(t.config), explore_test(t)
+            for pair in permutations(t.config.masters, 2):
+                assert cover(t, by_config, pair) == cover(t, by_test, pair), (name, pair)
 
     def test_forbidden_pair_never_covered_when_outcome_holds(self, iriw_fence):
         from memlit.explorer import check_outcome

@@ -219,18 +219,15 @@ class TestOracleEquivalence:
         # state was checked.
         for seed in range(SAMPLED_SEEDS):
             cfg = random_config(random.Random(seed), max_per_master=2)
-            watched = frozenset(i.id for i in cfg.instructions() if i.is_load())
-            res = explore(cfg, watched_loads=watched)
-            finals, triggers, seen = dfs_register_sets(cfg, watched)
+            res = explore(cfg)
+            finals, triggers, seen = dfs_register_sets(cfg)
             assert res.final_register_maps == frozenset(finals), seed
             assert res.trigger_register_maps == frozenset(triggers), seed
             assert res.state_count == seen, seed
 
     def test_nine_instruction_writer_fence_variant_matches_dfs(self, iriw_fence_all):
         res = explore_test(iriw_fence_all)
-        finals, triggers, seen = dfs_register_sets(
-            iriw_fence_all.config, iriw_fence_all.watched_loads
-        )
+        finals, triggers, seen = dfs_register_sets(iriw_fence_all.config)
         assert res.final_register_maps == frozenset(finals)
         assert res.trigger_register_maps == frozenset(triggers)
         assert res.state_count == seen

@@ -1,6 +1,5 @@
 """Test generation: target search, documents, generalisation, suites."""
 
-import dataclasses
 import json
 import random
 
@@ -8,11 +7,12 @@ import pytest
 
 from memlit.coverage import cover
 from memlit.explorer import explore_test, replay
-from memlit.litmus import parse
-from memlit.model import InstrKind
+from memlit.litmus import LitmusTest, OutcomeMode, RegisterIs, format_test, parse
+from memlit.model import Instruction, InstrKind, SystemConfig
 from memlit.testgen import (
     InvalidBounds,
     PairGoal,
+    TestCase,
     TestTarget,
     Unreachable,
     emit_test,
@@ -20,7 +20,6 @@ from memlit.testgen import (
     generalize,
     generate_suite,
     load_test,
-    platform_case,
     verify_test,
 )
 
@@ -40,8 +39,12 @@ class TestFindTrace:
             find_trace(iriw_fence, TestTarget(goal=PairGoal(("M2", "M3"), (2, 2))))
         assert err.value.states_explored > 0
 
-    def test_goal_true_at_init_with_no_watch_gives_empty_trace(self, iriw_fence):
-        test = dataclasses.replace(iriw_fence, watched_loads=frozenset())
+    def test_goal_true_at_init_with_no_watch_gives_empty_trace(self):
+        # Without loads, the initial state already observes every load.
+        store = Instruction("I11", InstrKind.STORE, "M1", 1, address="a", value=1)
+        config = SystemConfig.build(["M1"], {"M1": [store]})
+        test = LitmusTest("no-loads", config, RegisterIs("M1", "R1", 0), OutcomeMode.ALLOWED)
+        assert test.watched_loads == frozenset()
         tc = find_trace(test, TestTarget(goal=None))
         assert tc.trace == ()
 
@@ -90,6 +93,10 @@ class TestFindTrace:
                 iriw_fence,
                 TestTarget(goal=None, must_cover=frozenset({"ObserveEverything"})),
             )
+
+    def test_goal_other_than_pair_rejected(self, iriw_fence):
+        with pytest.raises(ValueError, match="PairGoal or None"):
+            find_trace(iriw_fence, TestTarget(goal=RegisterIs("M2", "R1", 0)))
 
 
 class TestDocuments:
@@ -160,8 +167,13 @@ class TestDocuments:
 
 
 class TestPlatformCase:
+    """A test's platform case: every register outcome with all loads
+    observed, and the exploration's witness trace to one of them."""
+
     def test_iriw_allowed_outcomes_exclude_forbidden_pair(self, iriw_fence):
-        case = platform_case(iriw_fence)
+        res = explore_test(iriw_fence)
+        case = TestCase(iriw_fence.name, format_test(iriw_fence), res.witness,
+                        allowed=res.trigger_maps())
         assert len(case.allowed) == 15
         forbidden = {"M2": {"R1": 1, "R2": 0}, "M3": {"R1": 1, "R2": 0}}
         for rf in case.allowed:
@@ -170,13 +182,13 @@ class TestPlatformCase:
 
 
 class TestWitness:
-    """Suite and platform witnesses come from their own exploration and
+    """Exploration and suite witnesses come from their own exploration and
     equal the trace of a separate goal-free ``find_trace`` search."""
 
     def test_platform_case_on_corpus(self, all_corpus):
         for name, test in all_corpus.items():
             expected = find_trace(test, TestTarget(goal=None)).trace
-            assert platform_case(test).trace == expected, name
+            assert explore_test(test).witness == expected, name
 
     def test_suite_samples(self, iriw_fence):
         # The small per-sample cap keeps this fast; 300 samples still keep
