@@ -7,8 +7,8 @@ deliberate change of output, rewrite them with
     PYTHONPATH=src python tests/golden_outputs.py
 
 The commands are those of the benchmark's corpus workload, run on the
-shipped corpus files, plus a small seeded fuzz suite and the exploration
-facts of seeded random configurations.
+shipped corpus files, plus a small seeded fuzz suite under each sync
+policy and the exploration facts of seeded random configurations.
 """
 
 from __future__ import annotations
@@ -73,15 +73,22 @@ def _cli_goldens() -> dict[str, str]:
     return files
 
 
-def _fuzz_goldens() -> dict[str, str]:
+def _fuzz_run(prefix: str, extra: list[str]) -> dict[str, str]:
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "suite"
-        argv = ["fuzz", str(corpus.corpus_path("iriw-fence")), *FUZZ_ARGS,
+        argv = ["fuzz", str(corpus.corpus_path("iriw-fence")), *FUZZ_ARGS, *extra,
                 "--out", str(out), "--json"]
-        files = {"fuzz/stdout.txt": _run(argv)}
+        files = {f"{prefix}/stdout.txt": _run(argv)}
         for doc in sorted(out.iterdir()):
-            files[f"fuzz/{doc.name}"] = doc.read_text()
+            files[f"{prefix}/{doc.name}"] = doc.read_text()
     return files
+
+
+def _fuzz_goldens() -> dict[str, str]:
+    return {
+        **_fuzz_run("fuzz", []),
+        **_fuzz_run("fuzz-fence-after-first-load", ["--policy", "fence-after-first-load"]),
+    }
 
 
 def random_config_facts(seed: int) -> dict:

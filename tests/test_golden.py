@@ -15,7 +15,7 @@ def test_golden_file_set(outputs):
     assert sorted(fresh) == sorted(golden)
 
 
-@pytest.mark.parametrize("kind", ["cli/", "fuzz/", "random-configs"])
+@pytest.mark.parametrize("kind", ["cli/", "fuzz/", "fuzz-fence-after-first-load/", "random-configs"])
 def test_golden_bytes(outputs, kind):
     fresh, golden = outputs
     names = sorted(n for n in golden if n.startswith(kind))
