@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Mapping
 
 from . import kernel
 from .explorer import (
@@ -44,7 +43,14 @@ from .litmus import (
     format_test,
     parse,
 )
-from .model import SystemConfig, compile_config
+from .model import (
+    LOAD_KINDS,
+    STORE_KINDS,
+    Instruction,
+    InstrKind,
+    SystemConfig,
+    compile_config,
+)
 
 
 class Unreachable(Exception):
@@ -304,95 +310,50 @@ def verify_test(doc: str | bytes | TestCase) -> VerifyResult:
 # Generalisation into program classes
 # ---------------------------------------------------------------------------
 
-SYNC_POLICIES = ("free", "none", "fence-after-first-load")
+SYNC_POLICIES = ("free", "fence-after-first-load")
 
 
 @dataclass(frozen=True)
 class ProgramClass:
-    """A family of configurations sharing a litmus test's universe.
+    """The programs over a seed's masters, addresses, values, registers and
+    instruction kinds, each master at most ``max_len`` instructions long.
 
-    Programs vary freely within per-master length bounds, drawing from
-    ``allowed_kinds``; the synchronisation policy constrains fence and
-    atomic placement:
+    The synchronisation policy constrains fence placement:
 
       free                   no placement constraint
-      none                   no fences or atomics at all
       fence-after-first-load on every master with a load, a fence directly
                              follows the first load
     """
 
-    masters: tuple[str, ...]
-    registers: frozenset[str]
-    addresses: frozenset[str]
-    values: frozenset[int]
-    length_bounds: Mapping[str, tuple[int, int]]
-    allowed_kinds: frozenset[str]
+    seed: SystemConfig
+    max_len: int
     sync_policy: str = "free"
 
-    def validate(self) -> None:
-        for m, (lo, hi) in self.length_bounds.items():
-            if m not in self.masters:
-                raise InvalidBounds(f"bounds name unknown master {m}")
-            if lo < 0 or hi < lo:
-                raise InvalidBounds(f"bad length bounds for {m}: ({lo}, {hi})")
-        bad = self.allowed_kinds - {"ST", "LD", "SCST.REL", "SCLD.ACQ", "FENCE"}
-        if bad:
-            raise InvalidBounds(f"unknown instruction kinds: {sorted(bad)}")
+    def __post_init__(self) -> None:
+        if self.max_len < 0:
+            raise InvalidBounds("maximum length must be nonnegative")
         if self.sync_policy not in SYNC_POLICIES:
             raise InvalidBounds(f"unknown sync policy {self.sync_policy!r}")
-        if self.sync_policy == "none" and self.allowed_kinds & {"FENCE", "SCST.REL", "SCLD.ACQ"}:
-            raise InvalidBounds("policy 'none' forbids fences and atomics in allowed_kinds")
-        if not self.registers or not self.addresses or not self.values:
-            raise InvalidBounds("register/address/value domains must be nonempty")
-
-    def contains(self, config: SystemConfig) -> bool:
-        """Structural membership of a configuration in this class."""
-        if tuple(config.masters) != self.masters:
-            return False
-        if not (config.addresses <= self.addresses and config.values <= self.values | {0}):
-            return False
-        if not config.registers <= self.registers:
-            return False
-        for m, prog in zip(config.masters, config.programs):
-            lo, hi = self.length_bounds[m]
-            if not lo <= len(prog) <= hi:
-                return False
-            for ins in prog:
-                if ins.kind.value not in self.allowed_kinds:
-                    return False
-            if not self._policy_ok(prog):
-                return False
-        return True
-
-    def _policy_ok(self, prog) -> bool:
-        if self.sync_policy == "none":
-            return all(ins.kind.value in ("ST", "LD") for ins in prog)
-        if self.sync_policy == "fence-after-first-load":
-            for i, ins in enumerate(prog):
-                if ins.is_load():
-                    return i + 1 < len(prog) and prog[i + 1].kind.value == "FENCE"
-            return True
-        return True
+        if not self.seed.registers:
+            raise InvalidBounds("the seed has no load, so samples have no register outcome")
 
     def sample(self, rng: random.Random, tag: str) -> SystemConfig:
         """One random member; deterministic for a fixed rng state.
 
-        Samples always contain at least one load so the register outcome
-        is meaningful.
+        Unless ``max_len`` is 0, samples always contain at least one load
+        so the register outcome is meaningful.
         """
-        from .model import Instruction, InstrKind
+        cfg = self.seed
+        addrs = sorted(cfg.addresses)
+        vals = sorted(cfg.values)
+        regs = sorted(cfg.registers)
+        kinds = sorted({ins.kind for ins in cfg.instructions()}, key=lambda k: k.value)
 
-        addrs = sorted(self.addresses)
-        vals = sorted(self.values)
-        regs = sorted(self.registers)
-        kinds = sorted(self.allowed_kinds)
-
-        def instr(mi: int, master: str, index: int, kind_name: str) -> Instruction:
-            kind = InstrKind(kind_name)
+        def instr(mi: int, master: str, index: int, kind: InstrKind) -> Instruction:
             iid = f"{tag}{mi + 1}{index}"
             if kind is InstrKind.FENCE:
                 return Instruction(id=iid, kind=kind, issuer=master, index=index)
-            if kind in (InstrKind.STORE, InstrKind.SC_REL_STORE):
+            if kind in STORE_KINDS:
                 return Instruction(
                     id=iid, kind=kind, issuer=master, index=index,
                     address=rng.choice(addrs), value=rng.choice(vals),
@@ -402,91 +363,41 @@ class ProgramClass:
                 address=rng.choice(addrs), register=rng.choice(regs),
             )
 
-        load_possible = any(k in ("LD", "SCLD.ACQ") for k in kinds) and any(
-            hi > 0 for _, hi in self.length_bounds.values()
-        )
         for _ in range(1000):
             programs: dict[str, list[Instruction]] = {}
-            in_bounds = True
-            for mi, master in enumerate(self.masters):
-                lo, hi = self.length_bounds[master]
-                length = rng.randint(lo, hi)
-                kind_seq = [rng.choice(kinds) for _ in range(length)]
+            for mi, master in enumerate(cfg.masters):
+                kind_seq = [rng.choice(kinds) for _ in range(rng.randint(0, self.max_len))]
                 if self.sync_policy == "fence-after-first-load":
-                    kind_seq = _apply_fence_after_first_load(kind_seq, hi)
-                    in_bounds = in_bounds and lo <= len(kind_seq)
+                    kind_seq = _apply_fence_after_first_load(kind_seq, self.max_len)
                 programs[master] = [
                     instr(mi, master, ix, k) for ix, k in enumerate(kind_seq, start=1)
                 ]
             has_load = any(i.is_load() for prog in programs.values() for i in prog)
-            if in_bounds and (has_load or not load_possible):
+            if has_load or self.max_len == 0:
                 break
         else:
-            raise InvalidBounds(
-                "could not sample a program satisfying the bounds and policy"
-            )
-        config = SystemConfig.build(
-            list(self.masters),
+            raise InvalidBounds("could not sample a program with a load")
+        return SystemConfig.build(
+            list(cfg.masters),
             programs,
             initial_memory={a: 0 for a in addrs},
             extra_values=set(vals),
         )
-        return config
 
 
-def _apply_fence_after_first_load(kind_seq: list[str], max_len: int) -> list[str]:
+def _apply_fence_after_first_load(kinds: list[InstrKind], max_len: int) -> list[InstrKind]:
     """Insert a fence right after the first load, truncating to the length
     bound; a first load that would lose its fence to truncation is dropped."""
-    out: list[str] = []
-    for k in kind_seq:
-        out.append(k)
-        if k in ("LD", "SCLD.ACQ"):
-            out.append("FENCE")
-            out.extend(kind_seq[len(out) - 1 :])
-            break
-    del out[max_len:]
-    for i, k in enumerate(out):
-        if k in ("LD", "SCLD.ACQ"):
-            if i + 1 >= len(out) or out[i + 1] != "FENCE":
-                return out[:i]
-            break
-    return out
+    first = next((i for i, k in enumerate(kinds) if k in LOAD_KINDS), None)
+    if first is None:
+        return kinds
+    out = [*kinds[: first + 1], InstrKind.FENCE, *kinds[first + 1 :]][:max_len]
+    return out if first + 1 < len(out) else out[:first]
 
 
-def generalize(
-    seed: LitmusTest,
-    bounds: int | Mapping[str, tuple[int, int]],
-    *,
-    allowed_kinds: set[str] | None = None,
-    sync_policy: str = "free",
-) -> ProgramClass:
+def generalize(seed: LitmusTest, max_len: int, *, sync_policy: str = "free") -> ProgramClass:
     """Relax a litmus test into the class of programs over its universe."""
-    cfg = seed.config
-    if isinstance(bounds, int):
-        if bounds < 0:
-            raise InvalidBounds("maximum length must be nonnegative")
-        length_bounds = {m: (0, bounds) for m in cfg.masters}
-    else:
-        length_bounds = dict(bounds)
-        for m in cfg.masters:
-            if m not in length_bounds:
-                raise InvalidBounds(f"no length bounds for master {m}")
-    kinds = frozenset(
-        allowed_kinds
-        if allowed_kinds is not None
-        else {i.kind.value for i in cfg.instructions()}
-    )
-    cls = ProgramClass(
-        masters=cfg.masters,
-        registers=cfg.registers,
-        addresses=cfg.addresses,
-        values=cfg.values,
-        length_bounds=length_bounds,
-        allowed_kinds=kinds,
-        sync_policy=sync_policy,
-    )
-    cls.validate()
-    return cls
+    return ProgramClass(seed.config, max_len, sync_policy)
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +468,6 @@ def generate_suite(
     """
     if count < 0:
         raise InvalidBounds("count must be nonnegative")
-    cls.validate()
     top = random.Random(seed)
     samples: list[SuiteSample] = []
     for index in range(count):
@@ -569,11 +479,6 @@ def generate_suite(
             # The litmus grammar requires at least one instruction per master.
             samples.append(
                 SuiteSample(index, sample_seed, None, skipped="empty program, not expressible")
-            )
-            continue
-        if not config.registers:
-            samples.append(
-                SuiteSample(index, sample_seed, None, skipped="no loads, no register outcome")
             )
             continue
         try:

@@ -3,8 +3,9 @@
 Nothing here touches the explorer's deduplication, its BFS frontier or the
 coverage module: final/trigger register sets are recomputed by depth-first
 recursion, load values by a per-master fold over raw event sequences, the
-sequentially consistent outcomes by an interpreter without the kernel, and
-program order, coherence and happens-before by a checker over raw traces.
+sequentially consistent outcomes by an interpreter without the kernel,
+program order, coherence and happens-before by a checker over raw traces, and
+membership of a fuzz program class by its definition rather than its sampler.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from memlit.kernel import (
     to_internal,
     unpack,
 )
-from memlit.model import STORE_KINDS, CompiledConfig, SystemConfig, compile_config
+from memlit.model import LOAD_KINDS, STORE_KINDS, CompiledConfig, SystemConfig, compile_config
+from memlit.testgen import ProgramClass
 
 
 def enumerate_paths(config: SystemConfig, max_paths: int = 2_000_000):
@@ -198,6 +200,37 @@ def random_config(rng: random.Random, max_per_master: int = 3) -> SystemConfig:
     return SystemConfig.build(
         masters, programs, initial_memory={a: 0 for a in addresses}
     )
+
+
+def in_class(cls: ProgramClass, config: SystemConfig) -> bool:
+    """Structural membership of a configuration in a program class.
+
+    The masters, domains and instruction kinds are the seed's, every
+    program is at most ``max_len`` long, and under fence-after-first-load
+    the first load of each program is directly followed by a fence, which
+    the policy admits even when the seed has none.
+    """
+    seed = cls.seed
+    kinds = {ins.kind for ins in seed.instructions()}
+    if cls.sync_policy == "fence-after-first-load":
+        kinds.add(InstrKind.FENCE)
+    if config.masters != seed.masters:
+        return False
+    if not (
+        config.addresses <= seed.addresses
+        and config.values <= seed.values
+        and config.registers <= seed.registers
+    ):
+        return False
+    for prog in config.programs:
+        prog_kinds = [ins.kind for ins in prog]
+        if len(prog) > cls.max_len or not set(prog_kinds) <= kinds:
+            return False
+        if cls.sync_policy == "fence-after-first-load":
+            first = next((i for i, k in enumerate(prog_kinds) if k in LOAD_KINDS), None)
+            if first is not None and prog_kinds[first + 1 : first + 2] != [InstrKind.FENCE]:
+                return False
+    return True
 
 
 def random_walk(config: SystemConfig, rng: random.Random, max_steps: int = 40):

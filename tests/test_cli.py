@@ -94,11 +94,13 @@ class TestCheck:
         assert code == 0
         assert json.loads(out)["verdict"] == "Reachable"
 
-    def test_removed_flags_exit_two(self, fence_path, tmp_path):
+    def test_removed_flags_exit_two(self, fence_path, nofence_path, tmp_path):
         for argv in (
             ["check", fence_path, "--workers", "4"],
             ["fuzz", fence_path, "--count", "1", "--seed", "1", "--out", str(tmp_path),
              "--max-states", "10"],
+            ["fuzz", nofence_path, "--count", "1", "--seed", "1", "--out", str(tmp_path),
+             "--policy", "none"],
         ):
             with pytest.raises(SystemExit) as err:
                 main(argv)
