@@ -1,7 +1,9 @@
 """Exploration, verdicts, replay and trace-ordering checkers."""
 
 import gc
+import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -123,6 +125,45 @@ class TestExplore:
         assert doc["finalRegisterMaps"] == sorted(
             doc["finalRegisterMaps"], key=lambda d: sorted((m, sorted(v.items())) for m, v in d.items())
         )
+
+
+class TestLargeInput:
+    """The benchmark's ``large`` input, pinned: the search over it must
+    not change by one state, transition or register file."""
+
+    LITMUS = Path(__file__).parents[1] / "bench" / "iriw-3readers.litmus"
+
+    def test_iriw_3readers_exploration(self):
+        doc = explore_test(parse(self.LITMUS.read_text())).to_json()
+        assert (doc["stateCount"], doc["transitions"]) == (131_752, 707_615)
+        assert doc["eventTally"] == {
+            "IssueFence": 107_220,
+            "IssueLoad": 131_216,
+            "IssueScAcqLoad": 0,
+            "IssueScRelStore": 0,
+            "IssueStore": 14_112,
+            "ObserveLoadAfterStoreWithFence": 61_100,
+            "ObserveLoadAfterStoreWithoutFence": 18_428,
+            "ObserveLoadHappensBeforeWithFence": 57_495,
+            "ObserveLoadWithoutFence": 19_168,
+            "ObserveScAcqLoad": 0,
+            "ObserveScRelStore": 0,
+            "ObserveStoreWithFence": 274_796,
+            "ObserveStoreWithoutFence": 24_080,
+        }
+        # Every reader pair of values except M3 seeing a2 = 1 before
+        # a1 = 0: M1's fence orders its stores, M3's fence its loads.
+        pairs = [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert doc["finalRegisterMaps"] == [
+            {
+                "M1": {"R1": 0, "R2": 0},
+                "M2": {"R1": m2[0], "R2": m2[1]},
+                "M3": {"R1": m3[0], "R2": m3[1]},
+                "M4": {"R1": m4[0], "R2": m4[1]},
+            }
+            for m2, m3, m4 in itertools.product(pairs, pairs, pairs)
+            if m3 != (1, 0)
+        ]
 
 
 def layer_sizes(config, total: int) -> list[int]:
