@@ -17,6 +17,15 @@ observed before s or, once m has observed s, after it (joining after(s)).
 The WithFence rules apply once the access's issuer has issued a fence f,
 the WithoutFence rules before that.  Loads of addresses nothing stores to
 are observed through the before-store rules with the witness omitted.
+
+For one event instance each guard compiles to state masks (see
+``Guard``).  The search runs from a table of every instance that some
+state of a configuration may enable, built on its first search and kept
+on the ``CompiledConfig``: each row holds the conjunction of its guards'
+masks, its event tuple and the successor's action, so ``successors`` is
+one loop over the table.  Static guards (kind, issuer, witness address)
+rule instances out as the table is built, and the atomic order is the
+only guard read from the state per call.
 """
 
 from __future__ import annotations
@@ -25,7 +34,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
 from .model import (
-    ISSUE_CODE_OF_KIND,
     STORE_KINDS,
     CompiledConfig,
     InstrKind,
@@ -67,7 +75,9 @@ EVENT_NAMES = (
 
 EVENT_CODE = {name: code for code, name in enumerate(EVENT_NAMES)}
 
-ISSUE_CODES = frozenset(ISSUE_CODE_OF_KIND.values())
+ISSUE_CODES = frozenset(
+    {ISSUE_STORE, ISSUE_LOAD, ISSUE_FENCE, ISSUE_SC_REL_STORE, ISSUE_SC_ACQ_LOAD}
+)
 
 
 class GuardFailed(Exception):
@@ -232,57 +242,71 @@ def init_state(config: SystemConfig) -> MachineState:
 # Guards
 # ---------------------------------------------------------------------------
 
+# A compiled guard: it holds on packed state p iff
+# ``p & need == need and not p & forbid``.
+Masks = tuple[int, int]
+_FREE: Masks = (0, 0)
+
+
 class Guard(NamedTuple):
     """One guard of a transition rule.
 
     ``text`` says what must hold, with ``{x}``, ``{m}``, ``{f}`` and ``{s}``
-    standing for the event's instruction, master, fence and witness store.
-    ``holds(cc, p, x, m, f, s)`` decides it on packed state p.
-    ``enumerated`` is True when ``iter_candidate_events`` proposes only
-    events that satisfy it in reachable states, so ``successors`` need not
-    evaluate it.
+    standing for the event's instruction, master, fence and witness store;
+    the placeholders a rule's texts name are the parameters it binds.
+    ``mask(cc, x, m, f, s)`` compiles the guard for one event instance: None
+    if it can never hold, else its (need, forbid) masks.  A static guard
+    (kind, issuer, witness address) compiles to None or ``(0, 0)``.  The
+    masks are exact on reachable states.  The one guard no mask expresses,
+    the atomic order, has none and is read from the state by
+    ``read(cc, p, x, m, f, s)``.
     """
 
     text: str
-    holds: Callable[[CompiledConfig, int, int, int, int, int], object]
-    enumerated: bool = True
+    mask: Callable[[CompiledConfig, int, int, int, int], Masks | None] | None
+    read: Callable[[CompiledConfig, int, int, int, int, int], bool] | None = None
+
+
+def _static(text: str, pred: Callable[[CompiledConfig, int, int, int, int], bool]) -> Guard:
+    return Guard(text, lambda cc, x, m, f, s: _FREE if pred(cc, x, m, f, s) else None)
 
 
 def _is_kind(kind: InstrKind) -> Guard:
-    return Guard(f"{{x}} is a {kind.value}", lambda cc, p, x, m, f, s: cc.kind[x] is kind)
+    return _static(f"{{x}} is a {kind.value}", lambda cc, x, m, f, s: cc.kind[x] is kind)
 
 
-def _issued(cc: CompiledConfig, p: int, x: int) -> int:
-    return ((p & cc.access_mask) >> x) & 1
+def _issued(cc: CompiledConfig, x: int) -> Masks | None:
+    # Only accesses count as issued; a fence has its own guard.
+    return (1 << x, 0) if x >= 0 and cc.kind[x] is not InstrKind.FENCE else None
 
 
-def _po_fence_ok(cc: CompiledConfig, p: int, x: int, m: int, f: int, s: int) -> bool:
+def _next_in_program(cc: CompiledConfig, x: int, m: int, f: int, s: int) -> Masks:
+    # Masters issue in program order, so a master's issued slots are a
+    # prefix of its program: x is next once every slot before it is issued
+    # and x is not.
+    return cc.program_mask[cc.issuer_ix[x]] & ((1 << x) - 1), 1 << x
+
+
+def _po_fence(cc: CompiledConfig, x: int, m: int, f: int, s: int) -> Masks:
     # If x is not ahead of f, every issued access ahead of f must already
     # be observed by the observing master.  Issue follows program order,
     # so once f is issued every access ahead of it is.
-    if (cc.ahead_mask[f] >> x) & 1:
-        return True
-    need = cc.ahead_obs[f][m]
-    return p & need == need
+    return _FREE if (cc.ahead_mask[f] >> x) & 1 else (cc.ahead_obs[f][m], 0)
 
 
-def _acq_preds_observed(cc: CompiledConfig, p: int, x: int, m: int, f: int, s: int) -> bool:
+def _acq_preds_observed(cc: CompiledConfig, x: int, m: int, f: int, s: int) -> Masks:
     # An acquire load blocks observation of everything behind it in its
-    # issuer's program until the issuer has observed it.
-    for a in cc.acq_pred_slots[x]:
-        if not p & cc.obs_field[a]:
-            return False
-    return True
+    # issuer's program until the issuer, its only observer, has observed it.
+    return sum([cc.obs_bit[a][cc.issuer_ix[a]] for a in cc.acq_pred_slots[x]]), 0
 
 
-def _preds_visible(cc: CompiledConfig, p: int, x: int, m: int, f: int, s: int) -> bool:
+def _preds_visible(cc: CompiledConfig, x: int, m: int, f: int, s: int) -> Masks:
     # Release: every program-order predecessor access must be visible to
     # the observer before the release store is.  Only its issuer observes
     # a load, so an earlier load need only be performed.
-    for a in cc.pred_access_slots[x]:
-        if not p & (cc.obs_field[a] if cc.is_load[a] else cc.obs_bit[a][m]):
-            return False
-    return True
+    return sum([
+        cc.obs_bit[a][cc.issuer_ix[a] if cc.is_load[a] else m] for a in cc.pred_access_slots[x]
+    ]), 0
 
 
 def _rank(cc: CompiledConfig, p: int, x: int) -> int:
@@ -302,55 +326,50 @@ def _atomic_order_ok(cc: CompiledConfig, p: int, x: int, m: int, f: int, s: int)
 
 
 _ISSUE = (
-    Guard("{x} is not yet issued", lambda cc, p, x, m, f, s: not (p >> x) & 1),
-    Guard("{x} is next in its issuer's program",
-          lambda cc, p, x, m, f, s: (
-              1 + (p & cc.program_mask[cc.issuer_ix[x]]).bit_count() == cc.index_of[x]
-          )),
+    Guard("{x} is not yet issued", lambda cc, x, m, f, s: (0, 1 << x)),
+    Guard("{x} is next in its issuer's program", _next_in_program),
 )
-_ISSUED = Guard("{x} is issued", lambda cc, p, x, m, f, s: _issued(cc, p, x))
-_UNSEEN = Guard("{m} has not observed {x}", lambda cc, p, x, m, f, s: not p & cc.obs_bit[x][m])
-_BY_OBSERVER = Guard("{m} issued {x}", lambda cc, p, x, m, f, s: cc.issuer_ix[x] == m)
+_ISSUED = Guard("{x} is issued", lambda cc, x, m, f, s: _issued(cc, x))
+_UNSEEN = Guard("{m} has not observed {x}", lambda cc, x, m, f, s: (0, cc.obs_bit[x][m]))
+_BY_OBSERVER = _static("{m} issued {x}", lambda cc, x, m, f, s: cc.issuer_ix[x] == m)
 _NO_FENCE = Guard(
     "the issuer of {x} has issued no fence",
-    lambda cc, p, x, m, f, s: not p & cc.fence_mask_of_master[cc.issuer_ix[x]],
+    lambda cc, x, m, f, s: (0, cc.fence_mask_of_master[cc.issuer_ix[x]]),
 )
 _FENCED = (
     Guard("{f} is an issued fence",
-          lambda cc, p, x, m, f, s: f >= 0 and ((p & cc.fence_mask) >> f) & 1),
-    Guard("{f} and {x} have the same issuer",
-          lambda cc, p, x, m, f, s: cc.issuer_ix[f] == cc.issuer_ix[x]),
-    Guard("{x} is ahead of {f}, or {m} has observed every issued access ahead of {f}",
-          _po_fence_ok, enumerated=False),
+          lambda cc, x, m, f, s: (1 << f, 0) if f >= 0 and cc.kind[f] is InstrKind.FENCE else None),
+    _static("{f} and {x} have the same issuer",
+            lambda cc, x, m, f, s: cc.issuer_ix[f] == cc.issuer_ix[x]),
+    Guard("{x} is ahead of {f}, or {m} has observed every issued access ahead of {f}", _po_fence),
 )
-_ACQ_PREDS = Guard("every acquire load before {x} is performed", _acq_preds_observed,
-                   enumerated=False)
+_ACQ_PREDS = Guard("every acquire load before {x} is performed", _acq_preds_observed)
 _LOAD = (_ISSUED, _is_kind(InstrKind.LOAD), _UNSEEN, _BY_OBSERVER)
 
 # The witness store of a load observation.  Before-store observations may
 # omit it (s = -1) only when nothing stores to the load's address.
-_WITNESS_STORE = Guard(
+_WITNESS_STORE = _static(
     "{s} is a store, or is absent and nothing stores to the address of {x}",
-    lambda cc, p, x, m, f, s: (
+    lambda cc, x, m, f, s: (
         cc.kind[s] in STORE_KINDS if s >= 0 else not cc.stores_to_addr[cc.addr_ix[x]]
     ),
 )
-_WITNESS_ADDRESS = Guard("{s} stores to the address of {x}",
-                         lambda cc, p, x, m, f, s: s < 0 or cc.addr_ix[s] == cc.addr_ix[x])
+_WITNESS_ADDRESS = _static("{s} stores to the address of {x}",
+                           lambda cc, x, m, f, s: s < 0 or cc.addr_ix[s] == cc.addr_ix[x])
 _BEFORE_WITNESS = (
     _WITNESS_STORE,
     _WITNESS_ADDRESS,
-    Guard("{m} has not observed {s}", lambda cc, p, x, m, f, s: s < 0 or not p & cc.obs_bit[s][m]),
+    Guard("{m} has not observed {s}",
+          lambda cc, x, m, f, s: (0, cc.obs_bit[s][m] if s >= 0 else 0)),
 )
 _AFTER_WITNESS = (
-    Guard("{s} is issued", lambda cc, p, x, m, f, s: s >= 0 and _issued(cc, p, s)),
+    Guard("{s} is issued", lambda cc, x, m, f, s: _issued(cc, s)),
     _WITNESS_STORE,
     _WITNESS_ADDRESS,
-    Guard("{m} has observed {s}", lambda cc, p, x, m, f, s: p & cc.obs_bit[s][m]),
+    Guard("{m} has observed {s}", lambda cc, x, m, f, s: (cc.obs_bit[s][m], 0)),
 )
 _NO_LOAD_AFTER = Guard("no load is observed after {s} yet",
-                       lambda cc, p, x, m, f, s: s < 0 or not p & cc.after_field[s],
-                       enumerated=False)
+                       lambda cc, x, m, f, s: (0, cc.after_field[s] if s >= 0 else 0))
 
 # The guards of every transition rule, indexed by event code.  A guard's
 # Event-B id ``grdN`` is its position N in its rule, counting from 1.
@@ -374,17 +393,12 @@ RULES: tuple[tuple[Guard, ...], ...] = (
         _ISSUED,
         _is_kind(InstrKind.SC_REL_STORE),
         _UNSEEN,
-        Guard("every access before {x} is visible to {m}", _preds_visible, enumerated=False),
-        Guard("{m} has observed every atomic store ordered before {x}", _atomic_order_ok,
-              enumerated=False),
+        Guard("every access before {x} is visible to {m}", _preds_visible),
+        Guard("{m} has observed every atomic store ordered before {x}", None, _atomic_order_ok),
     ),
     # ObserveScAcqLoad
     (_ISSUED, _is_kind(InstrKind.SC_ACQ_LOAD), _UNSEEN, _BY_OBSERVER, _ACQ_PREDS),
 )
-
-# What successors() evaluates per rule: the guards the enumerator does
-# not establish.
-_UNENUMERATED = tuple(tuple(g.holds for g in rule if not g.enumerated) for rule in RULES)
 
 
 def _first_failing(cc: CompiledConfig, p: int, ev: InternalEvent) -> int:
@@ -392,8 +406,13 @@ def _first_failing(cc: CompiledConfig, p: int, ev: InternalEvent) -> int:
     code, x, m, f, s = ev
     if not 0 <= code < len(RULES):
         raise ValueError(f"unknown event code {code}")
-    for n, guard in enumerate(RULES[code], start=1):
-        if not guard.holds(cc, p, x, m, f, s):
+    for n, (_, mask, read) in enumerate(RULES[code], start=1):
+        if mask is None:
+            if not read(cc, p, x, m, f, s):
+                return n
+            continue
+        masks = mask(cc, x, m, f, s)
+        if masks is None or p & masks[0] != masks[0] or p & masks[1]:
             return n
     return 0
 
@@ -409,119 +428,177 @@ def check_guards(cc: CompiledConfig, p: int, ev: InternalEvent) -> str | None:
 # Actions
 # ---------------------------------------------------------------------------
 
+def _effect(cc: CompiledConfig, ev: InternalEvent) -> tuple[int, int, int, int, int]:
+    """The action of ev as (clear, set, src, dst, rank shift): p becomes
+    ``(p & clear) | set``; a load then copies the value field at src to
+    the register field at dst (dst 0: no copy); and a first observation of
+    an atomic access writes its rank at the rank shift (0: no rank)."""
+    code, x, m, f, s = ev
+    if code in ISSUE_CODES:
+        return -1, 1 << x, 0, 0, 0
+    clear, set_, src, dst = cc.observe[x][m]
+    if code == OBS_LOAD_AS_WF or code == OBS_LOAD_AS_WOF:
+        return clear, (set_ | cc.after_bit[s][x]) if s >= 0 else set_, src, dst, 0
+    return clear, set_, src, dst, cc.rank_shift[x]
+
+
+def _next_rank(cc: CompiledConfig, p: int) -> int:
+    """The rank of the next atomic access to be first observed."""
+    return 1 + sum([1 for field in cc.atomic_fields if p & field])
+
+
 def apply_event(cc: CompiledConfig, p: int, ev: InternalEvent) -> int:
     """Successor of packed state p for an enabled event (guards are not
     re-checked)."""
-    code, x, m, f, s = ev
-    if code in ISSUE_CODES:
-        return p | (1 << x)
-    clear, set_, src, dst = cc.observe[x][m]
+    clear, set_, src, dst, shift = _effect(cc, ev)
     q = (p & clear) | set_
     if dst:
-        # Load observations: the register takes the last observed value.
         q |= ((p >> src) & cc.value_mask) << dst
-    if code == OBS_LOAD_AS_WF or code == OBS_LOAD_AS_WOF:
-        if s >= 0:
-            q |= cc.after_bit[s][x]
-    elif cc.rank_shift[x] and not p & cc.obs_field[x]:
-        # First observation of an atomic access: append it to the order.
-        rank = 1
-        for field in cc.atomic_fields:
-            if p & field:
-                rank += 1
-        q |= rank << cc.rank_shift[x]
+    if shift and not p & cc.obs_field[ev[1]]:
+        q |= _next_rank(cc, p) << shift
     return q
 
 
 # ---------------------------------------------------------------------------
-# Event enumeration
+# The event-instance table
 # ---------------------------------------------------------------------------
 
-def iter_candidate_events(cc: CompiledConfig, p: int) -> Iterator[InternalEvent]:
-    """All plausibly-enabled event instances in packed state p; callers
-    must still check guards.  Complete: every enabled event instance is
-    produced."""
-    # Issues: at most one per master per state, the lowest unissued slot.
-    for prog in cc.program_mask:
-        rest = prog & ~p
-        if rest:
-            x = (rest & -rest).bit_length() - 1
-            yield (cc.issue_code[x], x, -1, -1, -1)
+# The order in which the search lists enabled events, on which traces,
+# finals order, tallies and every golden depend: issues by master, then
+# observations of plain stores, release stores, plain loads and acquire
+# loads.  Within a phase, instances run by x, m, f and s, each in slot or
+# master order with -1 (absent) last, then by rule in the order given.
+_PHASES = (
+    tuple(sorted(ISSUE_CODES)),
+    (OBS_STORE_WF, OBS_STORE_WOF),
+    (OBS_SC_REL_STORE,),
+    (OBS_LOAD_AS_WF, OBS_LOAD_HB_WF, OBS_LOAD_AS_WOF, OBS_LOAD_WOF),
+    (OBS_SC_ACQ_LOAD,),
+)
 
-    n_masters = cc.n_masters
-    all_m = cc.all_masters_mask
-    obs_shift = cc.obs_shift
+# Per rule and parameter of x, m, f and s: whether the rule binds it, and
+# the guards with a mask whose text names it last among the four.  A
+# guard's text names every parameter it reads, so once the parameters up
+# to one are bound, that one's guards can rule the instance out.  A mask
+# may assume the guards before it in its rule that name no later
+# parameter than it does.
+_PARAMS = "xmfs"
+_BINDS = tuple(
+    tuple(f"{{{p}}}" in " ".join(g.text for g in rule) for p in _PARAMS) for rule in RULES
+)
+_STAGES = tuple(
+    tuple(
+        tuple(g for g in rule if g.mask and max(
+            k for k, p in enumerate(_PARAMS) if f"{{{p}}}" in g.text
+        ) == stage)
+        for stage in range(len(_PARAMS))
+    )
+    for rule in RULES
+)
 
-    for s in cc.plain_store_slots:
-        if not (p >> s) & 1:
-            continue
-        observers = (p >> obs_shift[s]) & all_m
-        if observers == all_m:
-            continue
-        issued_fences = [f for f in cc.fences_of_master[cc.issuer_ix[s]] if (p >> f) & 1]
-        for m in range(n_masters):
-            if (observers >> m) & 1:
-                continue
-            if issued_fences:
-                for f in issued_fences:
-                    yield (OBS_STORE_WF, s, m, f, -1)
-            else:
-                yield (OBS_STORE_WOF, s, m, -1, -1)
 
-    for s in cc.rel_store_slots:
-        if not (p >> s) & 1:
+def _compile_row(cc: CompiledConfig, ev: InternalEvent) -> tuple | None:
+    """ev's table row, (need, forbid, ev, clear, set, src, dst, atomic), or
+    None if a guard can never hold.  ``atomic`` is None, or (x's observer
+    field, rank shift, the guards read from the state) for an access whose
+    first observation takes a rank or that has such a guard."""
+    code, x, m, f, s = ev
+    need = forbid = 0
+    reads = []
+    for guard in RULES[code]:
+        if guard.mask is None:
+            reads.append(guard.read)
             continue
-        observers = (p >> obs_shift[s]) & all_m
-        if observers == all_m:
-            continue
-        for m in range(n_masters):
-            if not (observers >> m) & 1:
-                yield (OBS_SC_REL_STORE, s, m, -1, -1)
+        masks = guard.mask(cc, x, m, f, s)
+        if masks is None:
+            return None
+        need |= masks[0]
+        forbid |= masks[1]
+    if need & forbid:
+        return None
+    clear, set_, src, dst, shift = _effect(cc, ev)
+    atomic = (cc.obs_field[x], shift, tuple(reads)) if shift or reads else None
+    return need, forbid, ev, clear, set_, src, dst, atomic
 
-    for l in cc.plain_load_slots:
-        if not (p >> l) & 1 or p & cc.obs_field[l]:
-            continue
-        m = cc.issuer_ix[l]
-        witnesses = cc.witnesses[l]
-        issued_fences = [f for f in cc.fences_of_master[m] if (p >> f) & 1]
-        if issued_fences:
-            for f in issued_fences:
-                if witnesses:
-                    for s in witnesses:
-                        if (p >> (obs_shift[s] + m)) & 1:
-                            yield (OBS_LOAD_AS_WF, l, m, f, s)
-                        else:
-                            yield (OBS_LOAD_HB_WF, l, m, f, s)
-                else:
-                    yield (OBS_LOAD_HB_WF, l, m, f, -1)
-        else:
-            if witnesses:
-                for s in witnesses:
-                    if (p >> (obs_shift[s] + m)) & 1:
-                        yield (OBS_LOAD_AS_WOF, l, m, -1, s)
-                    else:
-                        yield (OBS_LOAD_WOF, l, m, -1, s)
-            else:
-                yield (OBS_LOAD_WOF, l, m, -1, -1)
 
-    for l in cc.acq_load_slots:
-        if (p >> l) & 1 and not p & cc.obs_field[l]:
-            yield (OBS_SC_ACQ_LOAD, l, cc.issuer_ix[l], -1, -1)
+def _event_table(cc: CompiledConfig) -> tuple:
+    """Every event instance of cc that some state may enable, in search
+    order, as groups (need, forbid, rows) of the rows of one (x, m): a
+    group's masks are those all its rows share, and each row keeps the
+    rest of its own."""
+    fences = (*cc.fence_slots, -1)
+    stores = (*range(cc.n_instr), -1)
+
+    def live(codes, stage: int, x: int, m: int = -1, f: int = -1, s: int = -1) -> list[int]:
+        # The rules among codes that bind the stage's parameter, or leave
+        # it absent, and whose guards of that stage can hold.
+        value = (x, m, f, s)[stage]
+        return [
+            code for code in codes
+            if (value < 0 or _BINDS[code][stage])
+            and all(g.mask(cc, x, m, f, s) is not None for g in _STAGES[code][stage])
+        ]
+
+    table = []
+    for phase in _PHASES:
+        masters = range(cc.n_masters) if _BINDS[phase[0]][1] else (-1,)
+        for x in range(cc.n_instr):
+            at_x = live(phase, 0, x)
+            for m in masters if at_x else ():
+                at_m = live(at_x, 1, x, m)
+                rows = []
+                for f in fences if at_m else ():
+                    at_f = live(at_m, 2, x, m, f)
+                    for s in stores if at_f else ():
+                        for code in live(at_f, 3, x, m, f, s):
+                            row = _compile_row(cc, (code, x, m, f, s))
+                            if row is not None:
+                                rows.append(row)
+                if rows:
+                    need = forbid = -1
+                    for row in rows:
+                        need &= row[0]
+                        forbid &= row[1]
+                    table.append((need, forbid, tuple([
+                        (row[0] & ~need, row[1] & ~forbid, *row[2:]) for row in rows
+                    ])))
+    return tuple(table)
 
 
 def successors(cc: CompiledConfig, p: int) -> list[tuple[InternalEvent, int]]:
-    """Enabled events of packed state p with their packed successors, in a
-    deterministic order."""
-    unenumerated = _UNENUMERATED
+    """Enabled events of packed state p with their packed successors, in
+    search order.  Exact on reachable states.  Each event is the table's
+    own tuple, shared by every state that enables it."""
+    table = cc.event_table
+    if table is None:
+        table = cc.event_table = _event_table(cc)
+    value_mask = cc.value_mask
     out = []
-    for ev in iter_candidate_events(cc, p):
-        code, x, m, f, s = ev
-        for holds in unenumerated[code]:
-            if not holds(cc, p, x, m, f, s):
-                break
-        else:
-            out.append((ev, apply_event(cc, p, ev)))
+    for group_need, group_forbid, rows in table:
+        if p & group_need != group_need or p & group_forbid:
+            continue
+        for need, forbid, ev, clear, set_, src, dst, atomic in rows:
+            if p & need != need or p & forbid:
+                continue
+            q = (p & clear) | set_
+            if dst:
+                q |= ((p >> src) & value_mask) << dst
+            if atomic is not None:
+                field, shift, reads = atomic
+                _, x, m, f, s = ev
+                if not all([read(cc, p, x, m, f, s) for read in reads]):
+                    continue
+                if shift and not p & field:
+                    q |= _next_rank(cc, p) << shift
+            out.append((ev, q))
     return out
+
+
+def iter_candidate_events(cc: CompiledConfig, p: int) -> Iterator[InternalEvent]:
+    """The enabled event instances of packed state p, in search order: the
+    events of ``successors``, with no second enumerator behind them.  The
+    benchmark's tracer (``bench/tracing.py``) patches this name."""
+    return (ev for ev, _ in successors(cc, p))
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +666,9 @@ def to_internal(cc: CompiledConfig, ev: EventDescriptor) -> InternalEvent:
 
 
 def enabled_events(state: MachineState, config: SystemConfig) -> set[EventDescriptor]:
-    """Exactly the event instances whose guards hold in ``state``."""
+    """The event instances whose guards hold in ``state``: exact on every
+    reachable state, since the guards' masks lean on invariants that only
+    reachable states are sure to keep."""
     cc = compile_config(config)
     return {to_descriptor(cc, ev) for ev, _ in successors(cc, pack(cc, state))}
 

@@ -31,16 +31,6 @@ class InstrKind(enum.Enum):
 STORE_KINDS = frozenset({InstrKind.STORE, InstrKind.SC_REL_STORE})
 LOAD_KINDS = frozenset({InstrKind.LOAD, InstrKind.SC_ACQ_LOAD})
 
-# The event code of each kind's issue rule (``kernel.EVENT_NAMES`` starts
-# with the five issue rules, in this order).
-ISSUE_CODE_OF_KIND = {
-    InstrKind.STORE: 0,
-    InstrKind.LOAD: 1,
-    InstrKind.FENCE: 2,
-    InstrKind.SC_REL_STORE: 3,
-    InstrKind.SC_ACQ_LOAD: 4,
-}
-
 
 @dataclass(frozen=True)
 class Instruction:
@@ -229,18 +219,7 @@ class CompiledConfig:
             self.reg_index[ins.register] if ins.register is not None else -1 for ins in instrs
         )
 
-        self.plain_store_slots: list[int] = []
-        self.plain_load_slots: list[int] = []
-        self.rel_store_slots: list[int] = []
-        self.acq_load_slots: list[int] = []
-        self.fence_slots: list[int] = []
-        slots_of_kind = {
-            InstrKind.STORE: self.plain_store_slots,
-            InstrKind.LOAD: self.plain_load_slots,
-            InstrKind.SC_REL_STORE: self.rel_store_slots,
-            InstrKind.SC_ACQ_LOAD: self.acq_load_slots,
-            InstrKind.FENCE: self.fence_slots,
-        }
+        slots_of_kind: dict[InstrKind, list[int]] = {kind: [] for kind in InstrKind}
         # Stores (either kind) per address: witness candidates for loads.
         stores: list[list[int]] = [[] for _ in self.addr_names]
         # Per master: fence slots, and a flag mask of that master's fences.
@@ -251,6 +230,10 @@ class CompiledConfig:
                 fences[self.issuer_ix[i]].append(i)
             elif self.value_of[i] >= 0:
                 stores[self.addr_ix[i]].append(i)
+        self.plain_load_slots = slots_of_kind[InstrKind.LOAD]
+        self.rel_store_slots = slots_of_kind[InstrKind.SC_REL_STORE]
+        self.acq_load_slots = slots_of_kind[InstrKind.SC_ACQ_LOAD]
+        self.fence_slots = slots_of_kind[InstrKind.FENCE]
         self.fence_mask = sum(1 << i for i in self.fence_slots)
         self.access_mask = ((1 << self.n_instr) - 1) & ~self.fence_mask
         self.all_masters_mask = (1 << self.n_masters) - 1
@@ -285,7 +268,6 @@ class CompiledConfig:
         self.initial_lov = (tuple(initial[a] for a in self.addr_names),) * self.n_masters
 
         # Per-slot tables the search reads instead of Enum lookups.
-        self.issue_code = tuple([ISSUE_CODE_OF_KIND[k] for k in self.kind])
         self.is_load = tuple([r >= 0 for r in self.reg_ix])
         self.witnesses = tuple(
             [self.stores_to_addr[a] if r >= 0 else () for a, r in zip(self.addr_ix, self.reg_ix)]
@@ -390,6 +372,8 @@ class CompiledConfig:
         for row, shifts in zip(self.initial_lov, lov_shift):
             for v, sh in zip(row, shifts):
                 self.initial_state |= index[v] << sh
+        # The kernel's table of event instances, built on the first search.
+        self.event_table = None
 
     def slot(self, instr_id: str) -> int:
         try:

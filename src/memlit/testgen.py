@@ -334,6 +334,9 @@ class ProgramClass:
             raise InvalidBounds("maximum length must be nonnegative")
         if self.sync_policy not in SYNC_POLICIES:
             raise InvalidBounds(f"unknown sync policy {self.sync_policy!r}")
+        if self.sync_policy == "fence-after-first-load" and self.max_len == 1:
+            # A lone load has no room for its fence, so no sample has a load.
+            raise InvalidBounds("fence-after-first-load needs a maximum length of at least 2")
         if not self.seed.registers:
             raise InvalidBounds("the seed has no load, so samples have no register outcome")
 

@@ -158,6 +158,10 @@ def fold_lov(config: SystemConfig, events) -> list[tuple[int, int, int]]:
     return load_values
 
 
+# Seeded random_config(max_per_master=2) samples the oracle checks cover.
+SAMPLED_SEEDS = 120
+
+
 def random_config(rng: random.Random, max_per_master: int = 3) -> SystemConfig:
     """A small random configuration over two addresses and two registers."""
     from memlit.model import Instruction

@@ -240,6 +240,19 @@ class TestFuzz:
                     assert prog[loads[0] + 1].kind.value == "FENCE"
 
 
+    @pytest.mark.parametrize("name", ["iriw-fence", "mp-relaxed"])
+    def test_fence_after_first_load_without_room_exit_two(self, capsys, tmp_path, name):
+        out = tmp_path / "none"
+        code, stdout, err = run_cli(
+            capsys, "fuzz", str(corpus.corpus_path(name)), "--count", "3", "--seed", "1",
+            "--out", str(out), "--max-len", "1", "--policy", "fence-after-first-load",
+        )
+        assert code == 2
+        assert stdout == ""
+        assert err == "fence-after-first-load needs a maximum length of at least 2\n"
+        assert not out.exists()
+
+
 class TestSuite:
     def test_full_three_variant_suite(self, capsys, tmp_path):
         for name in ("iriw-fence-all", "iriw-nofence", "iriw-atomic"):

@@ -28,6 +28,7 @@ from memlit.litmus import parse
 from memlit.model import InstrKind, SystemConfig, compile_config
 
 from oracle import (
+    SAMPLED_SEEDS,
     check_trace_orderings,
     dfs_register_sets,
     enumerate_paths,
@@ -37,9 +38,6 @@ from oracle import (
     sc_register_files,
 )
 from test_kernel import make_config
-
-# Seeded random_config(max_per_master=2) samples the oracle checks cover.
-SAMPLED_SEEDS = 120
 
 
 class TestCanonicalKey:

@@ -26,7 +26,7 @@ from memlit.kernel import (
 )
 from memlit.model import Instruction, InstrKind, InvalidConfig, SystemConfig, compile_config
 
-from oracle import all_event_instances, fold_lov, random_config, random_walk
+from oracle import SAMPLED_SEEDS, all_event_instances, fold_lov, random_config, random_walk
 
 
 def make_config(programs: dict[str, list[tuple]], init=None) -> SystemConfig:
@@ -428,25 +428,44 @@ class TestDegenerateWitness:
 
 
 class TestEnumerationCompleteness:
-    """successors() proposes candidates; the guard table is the truth.
-    Sweeping the whole event-instance space must find the same enabled set.
-    """
+    """On every reachable state, ``successors`` lists distinct events, and
+    with their successors they are exactly the instances of the whole
+    event-instance space whose guards hold (``check_guards``), each fired
+    by ``apply_event``.  The sweep leaves out the instances with a guard
+    that compiles to no mask, since ``check_guards`` fails those in every
+    state.  The corpus tests and sampled configs are split into shards."""
 
-    @pytest.mark.parametrize("seed", range(12))
-    def test_candidates_cover_all_enabled_instances(self, seed):
-        rng = random.Random(seed)
-        cfg = random_config(rng)
-        cc = compile_config(cfg)
-        state = init_state(cfg)
-        walk = random_walk(cfg, rng)
-        states = [state] + [s for _, s in walk]
-        for st in states[:: max(1, len(states) // 5)]:
-            fast = {ev for ev, _ in successors(cc, pack(cc, st))}
-            swept = {
-                ev for ev in all_event_instances(cc)
-                if check_guards(cc, pack(cc, st), ev) is None
-            }
-            assert fast == swept
+    CORPUS = ("mp-fence", "mp-relaxed", "load-initial", "iriw-fence-all")
+    SHARDS = 12
+
+    @staticmethod
+    def may_hold(cc, ev) -> bool:
+        code, x, m, f, s = ev
+        return all(g.mask is None or g.mask(cc, x, m, f, s) is not None for g in RULES[code])
+
+    @pytest.mark.parametrize("shard", range(SHARDS))
+    def test_candidates_cover_all_enabled_instances(self, all_corpus, shard):
+        configs = [all_corpus[name].config for name in self.CORPUS]
+        configs += [
+            random_config(random.Random(seed), max_per_master=2) for seed in range(SAMPLED_SEEDS)
+        ]
+        for cfg in configs[shard :: self.SHARDS]:
+            cc = compile_config(cfg)
+            sweep = [ev for ev in all_event_instances(cc) if self.may_hold(cc, ev)]
+            seen = {cc.initial_state}
+            stack = [cc.initial_state]
+            while stack:
+                p = stack.pop()
+                succ = successors(cc, p)
+                assert len({ev for ev, _ in succ}) == len(succ)
+                assert set(succ) == {
+                    (ev, apply_event(cc, p, ev))
+                    for ev in sweep if check_guards(cc, p, ev) is None
+                }
+                for _, nxt in succ:
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        stack.append(nxt)
 
 
 class TestGuardRows:

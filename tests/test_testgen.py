@@ -236,6 +236,12 @@ class TestGeneralize:
                         assert first + 1 < len(prog)
                         assert prog[first + 1].kind is InstrKind.FENCE
 
+    def test_fence_after_first_load_needs_room_for_the_fence(self, iriw_fence):
+        with pytest.raises(InvalidBounds, match="at least 2"):
+            generalize(iriw_fence, 1, sync_policy="fence-after-first-load")
+        generalize(iriw_fence, 1)
+        generalize(iriw_fence, 2, sync_policy="fence-after-first-load")
+
     def test_policy_none_rejected(self, iriw_nofence):
         with pytest.raises(InvalidBounds):
             generalize(iriw_nofence, 3, sync_policy="none")
