@@ -13,7 +13,7 @@ import gc
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Iterator
+from typing import Callable, Iterator
 
 from . import kernel
 from .kernel import (
@@ -28,6 +28,8 @@ from .kernel import (
 from .litmus import LitmusTest, OutcomeMode
 from .model import CompiledConfig, SystemConfig, compile_config
 
+# At about 85 B of search memory per state (the parent map; ``tracemalloc``
+# on the benchmark's 131,752-state input), 10M states take about 0.85 GB.
 DEFAULT_MAX_STATES = 10_000_000
 
 Trace = tuple[EventDescriptor, ...]
@@ -135,10 +137,16 @@ def _gc_paused() -> Iterator[None]:
 
 @dataclass
 class _Space:
-    """What a breadth-first search reached: each node with the edge that
-    first reached it, so paths back to the root are shortest."""
+    """What a breadth-first search reached: each node with the node that
+    first reached it, so paths back to the root are shortest.
 
-    parents: dict  # node -> (parent node, internal event), root -> None
+    Only parents are stored.  The search keeps the first edge in
+    ``expand(parent)`` order that reaches a new node, so ``events_to``
+    recovers each step's event as the first edge of the re-expanded parent
+    whose successor is the child: the event the search took."""
+
+    parents: dict  # node -> the node that first reached it, root -> None
+    expand: Callable  # the search's own expansion, re-run by ``events_to``
     finals: list  # nodes without successors, in discovery order
     tally: list[int]  # transitions per event code
     transitions: int
@@ -146,9 +154,10 @@ class _Space:
 
     def events_to(self, node) -> list[InternalEvent]:
         steps: list[InternalEvent] = []
-        while (edge := self.parents[node]) is not None:
-            node, ev = edge
-            steps.append(ev)
+        with _gc_paused():
+            while (parent := self.parents[node]) is not None:
+                steps.append(next(ev for ev, nxt in self.expand(parent) if nxt == node))
+                node = parent
         return steps[::-1]
 
     def trace_to(self, cc: CompiledConfig, node) -> Trace:
@@ -183,7 +192,7 @@ def _bfs(root, expand, visit, max_states: int) -> _Space:
                     tally[ev[0]] += 1
                     if nxt in parents:
                         continue
-                    parents[nxt] = (node, ev)
+                    parents[nxt] = node
                     if len(parents) > max_states:
                         raise StateLimitExceeded(max_states, depth, len(frontier))
                     if visit(nxt):
@@ -194,7 +203,7 @@ def _bfs(root, expand, visit, max_states: int) -> _Space:
                     break
             frontier = next_frontier
             depth += 1
-    return _Space(parents, finals, tally, transitions, stop)
+    return _Space(parents, expand, finals, tally, transitions, stop)
 
 
 def _explore_full(

@@ -61,12 +61,31 @@ class RegisterIs:
         yield self
 
 
-@dataclass(frozen=True)
-class Not:
-    operand: "OutcomePredicate"
-
+class _Compound:
     def evaluate(self, rf) -> bool:
-        return not self.operand.evaluate(rf)
+        """Post-order on an explicit stack, the operator classes marking
+        where operands combine: ``parse`` accepts outcomes nearly as deep as
+        the recursion limit, and the search evaluates them from deeper."""
+        values, todo = [], [self]
+        while todo:
+            node = todo.pop()
+            if isinstance(node, RegisterIs):
+                values.append(node.evaluate(rf))
+            elif isinstance(node, Not):
+                todo += (Not, node.operand)
+            elif isinstance(node, _Compound):
+                todo += (type(node), node.right, node.left)
+            elif node is Not:
+                values[-1] = not values[-1]
+            else:  # And or Or: combine the last two values
+                right = values.pop()
+                values[-1] = (values[-1] and right) if node is And else (values[-1] or right)
+        return values[0]
+
+
+@dataclass(frozen=True)
+class Not(_Compound):
+    operand: "OutcomePredicate"
 
     def render(self) -> str:
         return f"~{self.operand.render()}"
@@ -76,12 +95,9 @@ class Not:
 
 
 @dataclass(frozen=True)
-class And:
+class And(_Compound):
     left: "OutcomePredicate"
     right: "OutcomePredicate"
-
-    def evaluate(self, rf) -> bool:
-        return self.left.evaluate(rf) and self.right.evaluate(rf)
 
     def render(self) -> str:
         return f"( {self.left.render()} /\\ {self.right.render()} )"
@@ -92,12 +108,9 @@ class And:
 
 
 @dataclass(frozen=True)
-class Or:
+class Or(_Compound):
     left: "OutcomePredicate"
     right: "OutcomePredicate"
-
-    def evaluate(self, rf) -> bool:
-        return self.left.evaluate(rf) or self.right.evaluate(rf)
 
     def render(self) -> str:
         return f"( {self.left.render()} \\/ {self.right.render()} )"
@@ -434,7 +447,8 @@ def parse(text: str) -> LitmusTest:
     parser = _Parser(text)
     try:
         return parser.parse_test()
-    except RecursionError:
+    except RecursionError:  # may come after the parser consumed ``eof``
+        parser.pos = min(parser.pos, len(parser.toks) - 1)
         raise parser.fail("outcome nests too deeply") from None
 
 

@@ -274,6 +274,34 @@ def all_event_instances(cc: CompiledConfig):
                     yield (kernel.OBS_LOAD_AS_WF, x, m, f, s)
 
 
+def edge_bfs(root, expand) -> dict:
+    """Breadth-first search that stores each node's first edge.
+
+    Maps every node reachable through ``expand(node)``, a list of (event,
+    successor) pairs, to the (parent, event) pair that first reached it, and
+    the root to None: the search's parent map, with the events kept.
+    """
+    edges: dict = {root: None}
+    frontier = [root]
+    while frontier:
+        layer, frontier = frontier, []
+        for node in layer:
+            for ev, nxt in expand(node):
+                if nxt not in edges:
+                    edges[nxt] = (node, ev)
+                    frontier.append(nxt)
+    return edges
+
+
+def edge_path(edges: dict, node) -> list:
+    """The events from the root to ``node`` along an ``edge_bfs`` map."""
+    steps = []
+    while (edge := edges[node]) is not None:
+        node, ev = edge
+        steps.append(ev)
+    return steps[::-1]
+
+
 def replay_unguarded(config: SystemConfig, trace) -> list[MachineState]:
     """Every state of an event-descriptor trace, the initial one first,
     applying each event's action whether or not its guards hold."""

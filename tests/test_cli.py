@@ -350,6 +350,27 @@ def test_bad_litmus_input_exit_two(capsys, tmp_path, source, message):
     assert message in err
 
 
+@pytest.mark.parametrize("command", ["check", "fmt"])
+def test_flat_disjunction_beyond_the_recursion_limit_exit_two(tmp_path, command):
+    # The parser reads a flat disjunction in a loop, but walking its
+    # 1,500-deep tree recurses: the CLI must report that, not a traceback.
+    path = tmp_path / "wide.litmus"
+    terms = " \\/ ".join(f"M2:R1 = {i % 2}" for i in range(1500))
+    path.write_text(
+        'litmus "mp-relaxed"\n'
+        "master M1 { I11: ST data #1; I12: ST flag #1; }\n"
+        "master M2 { I21: LD R1 flag; I22: LD R2 data; }\n"
+        f"forbidden ( {terms} )\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "memlit", command, str(path)], capture_output=True, text=True
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == f"{path}: 5:1: outcome nests too deeply\n"
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [

@@ -3,11 +3,15 @@
 import gc
 import itertools
 import random
+import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import pytest
 
+from memlit import testgen
 from memlit.explorer import (
+    DEFAULT_MAX_STATES,
     ReplayError,
     StateLimitExceeded,
     check_outcome,
@@ -16,13 +20,16 @@ from memlit.explorer import (
     replay,
     replay_states,
 )
+from memlit.explorer import _explore_full
 from memlit.kernel import (
+    EVENT_NAMES,
     EventDescriptor,
     check_state_invariants,
     fire,
     init_state,
     pack,
     successors,
+    to_descriptor,
 )
 from memlit.litmus import parse
 from memlit.model import InstrKind, SystemConfig, compile_config
@@ -31,6 +38,8 @@ from oracle import (
     SAMPLED_SEEDS,
     check_trace_orderings,
     dfs_register_sets,
+    edge_bfs,
+    edge_path,
     enumerate_paths,
     random_config,
     random_walk,
@@ -180,6 +189,105 @@ def layer_sizes(config, total: int) -> list[int]:
         layer = nxt
         sizes.append(len(nxt))
     return sizes
+
+
+def _full_space(config):
+    return _explore_full(config, max_states=DEFAULT_MAX_STATES, name="", stop_predicate=None)[1]
+
+
+class TestTracesFromParents:
+    """The search stores only each node's parent and ``events_to`` re-expands
+    parents to recover events.  Every trace must equal the path that a
+    search storing (parent, event) edges, ``oracle.edge_bfs``, gives."""
+
+    @staticmethod
+    def assert_every_node_agrees(space, expand):
+        root = next(iter(space.parents))
+        edges = edge_bfs(root, expand)
+        assert list(space.parents) == list(edges)[: len(space.parents)]
+        for node in space.parents:
+            assert space.events_to(node) == edge_path(edges, node), node
+
+    @pytest.mark.parametrize("name", ["mp-fence", "mp-relaxed", "iriw-nofence"])
+    def test_every_node_of_a_corpus_test(self, all_corpus, name):
+        config = all_corpus[name].config
+        cc = compile_config(config)
+        self.assert_every_node_agrees(_full_space(config), partial(successors, cc))
+
+    def test_every_node_of_sampled_configs(self):
+        for seed in range(20):  # the first 20 of SAMPLED_SEEDS
+            config = random_config(random.Random(seed), max_per_master=2)
+            cc = compile_config(config)
+            self.assert_every_node_agrees(_full_space(config), partial(successors, cc))
+
+    def test_corpus_witnesses_and_counterexamples(self, all_corpus):
+        checked = 0
+        for name, t in all_corpus.items():
+            cc = compile_config(t.config)
+            edges = edge_bfs(cc.initial_state, partial(successors, cc))
+            for trace in (explore_test(t).witness, check_outcome(t).counterexample):
+                if trace is None:
+                    continue
+                end = pack(cc, replay(t.config, trace))
+                assert trace == tuple(to_descriptor(cc, ev) for ev in edge_path(edges, end)), name
+                checked += 1
+        assert checked >= len(all_corpus) + 2
+
+    # The gen targets of the benchmark's corpus workload: (test, M2 and M3
+    # combos, --cover-events, reachable).
+    @pytest.mark.parametrize(
+        "name, combos, cover, reachable",
+        [
+            ("iriw-fence", (0, 0), (), True),
+            ("iriw-nofence", (0, 0), (), True),
+            ("iriw-atomic", (0, 0), (), True),
+            ("iriw-fence-all", (0, 0), (), True),
+            ("iriw-fence-all", (3, 3),
+             ("ObserveStoreWithFence", "ObserveLoadAfterStoreWithFence"), True),
+            ("iriw-fence", (2, 2), (), False),
+        ],
+    )
+    def test_find_trace(self, all_corpus, monkeypatch, name, combos, cover, reachable):
+        spaces = []
+        real_bfs = testgen._bfs
+        monkeypatch.setattr(
+            testgen, "_bfs", lambda *args: spaces.append(real_bfs(*args)) or spaces[-1]
+        )
+        t = all_corpus[name]
+        target = testgen.TestTarget(testgen.PairGoal(("M2", "M3"), combos), frozenset(cover))
+        if not reachable:
+            with pytest.raises(testgen.Unreachable):
+                testgen.find_trace(t, target)
+            (space,) = spaces
+            self.assert_every_node_agrees(space, space.expand)
+            return
+        case = testgen.find_trace(t, target)
+        (space,) = spaces
+        edges = edge_bfs(next(iter(space.parents)), space.expand)
+        events = edge_path(edges, space.stop)
+        cc = compile_config(t.config)
+        assert case.trace == tuple(to_descriptor(cc, ev) for ev in events)
+        assert {EVENT_NAMES[ev[0]] for ev in events} >= set(cover)
+
+
+class TestSearchMemory:
+    def test_iriw_fence_bytes_per_state(self, iriw_fence):
+        # The parent map holds one int key and one reference per state:
+        # about 78 B/state on CPython 3.11, against 127 when each state
+        # also held a (parent, event) pair.
+        explore_test(iriw_fence)  # warm the compile cache and event table
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            space = _full_space(iriw_fence.config)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert len(space.parents) == 8124
+        assert peak / len(space.parents) < 100
 
 
 class TestCollectorPause:

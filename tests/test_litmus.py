@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from memlit import corpus
 from memlit.litmus import (
     And,
+    Not,
+    Or,
     OutcomeMode,
     ParseError,
     RegisterIs,
@@ -207,3 +209,32 @@ def test_outcome_evaluation():
     pred = And(RegisterIs("M1", "R1", 1), RegisterIs("M2", "R1", 0))
     assert pred.evaluate({"M1": {"R1": 1}, "M2": {"R1": 0}})
     assert not pred.evaluate({"M1": {"R1": 0}, "M2": {"R1": 0}})
+
+
+def _evaluate_recursively(pred, rf) -> bool:
+    if isinstance(pred, RegisterIs):
+        return rf[pred.master][pred.register] == pred.value
+    if isinstance(pred, Not):
+        return not _evaluate_recursively(pred.operand, rf)
+    left, right = _evaluate_recursively(pred.left, rf), _evaluate_recursively(pred.right, rf)
+    return (left and right) if isinstance(pred, And) else (left or right)
+
+
+_PREDICATES = st.recursive(
+    st.builds(RegisterIs, st.just("M1"), st.sampled_from(["R1", "R2"]), st.integers(0, 1)),
+    lambda sub: st.one_of(st.builds(Not, sub), st.builds(And, sub, sub), st.builds(Or, sub, sub)),
+)
+
+
+@given(_PREDICATES, st.integers(0, 1), st.integers(0, 1))
+def test_outcome_evaluation_matches_the_recursive_definition(pred, r1, r2):
+    rf = {"M1": {"R1": r1, "R2": r2}}
+    assert pred.evaluate(rf) == _evaluate_recursively(pred, rf)
+
+
+def test_outcome_evaluation_beyond_the_recursion_limit():
+    pred = RegisterIs("M1", "R1", 1)
+    for _ in range(5000):
+        pred = Not(Or(pred, RegisterIs("M1", "R2", 1)))
+    assert pred.evaluate({"M1": {"R1": 1, "R2": 0}})
+    assert not pred.evaluate({"M1": {"R1": 0, "R2": 0}})
