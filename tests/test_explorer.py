@@ -14,13 +14,13 @@ from memlit.explorer import (
     DEFAULT_MAX_STATES,
     ReplayError,
     StateLimitExceeded,
+    _explore_full,
     check_outcome,
     explore,
     explore_test,
     replay,
     replay_states,
 )
-from memlit.explorer import _explore_full
 from memlit.kernel import (
     EVENT_NAMES,
     EventDescriptor,
@@ -273,8 +273,8 @@ class TestTracesFromParents:
 class TestSearchMemory:
     def test_iriw_fence_bytes_per_state(self, iriw_fence):
         # The parent map holds one int key and one reference per state:
-        # about 78 B/state on CPython 3.11, against 127 when each state
-        # also held a (parent, event) pair.
+        # about 78 B/state on CPython 3.11. A (parent, event) pair per
+        # state as well reads about 112.
         explore_test(iriw_fence)  # warm the compile cache and event table
         tracing = tracemalloc.is_tracing()
         tracemalloc.start()
