@@ -5,7 +5,8 @@ coverage module: final/trigger register sets are recomputed by depth-first
 recursion, load values by a per-master fold over raw event sequences, the
 sequentially consistent outcomes by an interpreter without the kernel,
 program order, coherence and happens-before by a checker over raw traces, and
-membership of a fuzz program class by its definition rather than its sampler.
+membership of a fuzz program class by its definition rather than its sampler,
+and litmus tokens by the character loop the tokenizer replaced.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from memlit.kernel import (
     to_internal,
     unpack,
 )
+from memlit.litmus import ParseError
 from memlit.model import LOAD_KINDS, STORE_KINDS, CompiledConfig, SystemConfig, compile_config
 from memlit.testgen import ProgramClass
 
@@ -417,3 +419,91 @@ def check_trace_orderings(config: SystemConfig, trace) -> OrderingReport:
         co=verdict(bool(loads), co_witnesses),
         hb=verdict(hb_applicable, hb_witnesses),
     )
+
+
+# ---------------------------------------------------------------------------
+# The litmus tokenizer as a hand-written character loop, kept verbatim as the
+# reference the pattern scanner in ``memlit.litmus`` is compared against.
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Token:
+    kind: str  # ident / int / string / punct / value / eof
+    text: str
+    line: int
+    column: int
+
+
+_PUNCT = ("/\\", "\\/", "{", "}", ";", ":", "=", "(", ")", "~")
+_PUNCT_START = frozenset(p[0] for p in _PUNCT)
+
+
+def reference_tokenize(text: str) -> list[_Token]:
+    toks: list[_Token] = []
+    line, col = 1, 1
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            if i + 1 < n and text[i + 1].isdecimal():
+                j = i + 1
+                while j < n and text[j].isdecimal():
+                    j += 1
+                toks.append(_Token("value", text[i + 1 : j], line, col))
+                col += j - i
+                i = j
+                continue
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if ch == '"':
+            j = i + 1
+            while j < n and text[j] != '"':
+                if text[j] == "\n":
+                    raise ParseError(line, col, "unterminated string")
+                j += 1
+            if j >= n:
+                raise ParseError(line, col, "unterminated string")
+            toks.append(_Token("string", text[i + 1 : j], line, col))
+            col += j - i + 1
+            i = j + 1
+            continue
+        matched = False
+        if ch in _PUNCT_START:
+            for p in _PUNCT:
+                if text.startswith(p, i):
+                    toks.append(_Token("punct", p, line, col))
+                    i += len(p)
+                    col += len(p)
+                    matched = True
+                    break
+        if matched:
+            continue
+        if ch.isdecimal():
+            j = i
+            while j < n and text[j].isdecimal():
+                j += 1
+            toks.append(_Token("int", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] in "_."):
+                j += 1
+            toks.append(_Token("ident", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        raise ParseError(line, col, f"unexpected character {ch!r}")
+    toks.append(_Token("eof", "", line, col))
+    return toks

@@ -1,5 +1,7 @@
 """Litmus DSL: parsing, validation, formatting, lowering."""
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,10 +15,12 @@ from memlit.litmus import (
     ParseError,
     RegisterIs,
     ValidationError,
+    _tokenize,
     format_test,
     parse,
 )
 from memlit.model import InstrKind
+from oracle import reference_tokenize
 
 IRIW = corpus.corpus_path("iriw-fence").read_text()
 
@@ -238,3 +242,61 @@ def test_outcome_evaluation_beyond_the_recursion_limit():
         pred = Not(Or(pred, RegisterIs("M1", "R2", 1)))
     assert pred.evaluate({"M1": {"R1": 1, "R2": 0}})
     assert not pred.evaluate({"M1": {"R1": 0, "R2": 0}})
+
+
+# The tokenizer against the character loop it replaced (``oracle``): the same
+# tokens, or the same error at the same position.
+
+def _lex(tokenize, text: str):
+    try:
+        return [(t.kind, t.text, t.line, t.column) for t in tokenize(text)]
+    except ParseError as e:
+        return (e.line, e.column, e.message)
+
+
+_LEXEMES = [
+    "#", "0", "42", "²", "٣", "½", "é", "_", ".", '"', "\n", "\r", "\t",
+    " ", "/\\", "\\/", "/", "\\", "a", "I1", "ST", *"{};:=()~",
+]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(_LEXEMES), max_size=30).map("".join))
+def test_tokenizer_matches_reference(text):
+    assert _lex(_tokenize, text) == _lex(reference_tokenize, text)
+
+
+@pytest.mark.parametrize(
+    "path",
+    [*(corpus.corpus_path(n) for n in corpus.CORPUS_NAMES),
+     Path(__file__).parents[1] / "bench" / "iriw-3readers.litmus"],
+    ids=lambda p: p.stem,
+)
+def test_tokenizer_matches_reference_on_shipped_files(path):
+    text = path.read_text()
+    assert _lex(_tokenize, text) == _lex(reference_tokenize, text)
+
+
+_HEAD = 'litmus "t"\nmaster M1 { I1: LD R1 a1; }\n'
+
+
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        # An identifier starts with a letter or '_': '²' is alphanumeric, not a letter.
+        ('litmus "t"\ninit { a1 = ²; }\nmaster M1 { I1: LD R1 a1; }\nallowed M1:R1 = 0\n',
+         "2:13: unexpected character '²'"),
+        # A comment that ends the file leaves the end at its '#'.
+        (_HEAD + "allowed M1:R1 = # nothing", "3:17: expected 'int', found 'eof'"),
+        (_HEAD + "allowed M1:R1 = # nothing\n", "4:1: expected 'int', found 'eof'"),
+        ('litmus "t\n' + _HEAD, "1:8: unterminated string"),
+        ('litmus "t', "1:8: unterminated string"),
+    ],
+    ids=["superscript-identifier", "comment-at-eof", "comment-then-newline",
+         "string-at-newline", "string-at-eof"],
+)
+def test_tokenizer_quirks(source, message):
+    with pytest.raises(ParseError) as err:
+        parse(source)
+    assert str(err.value) == message
+    assert _lex(_tokenize, source) == _lex(reference_tokenize, source)
