@@ -19,8 +19,9 @@ otherwise ``#`` starts a comment running to end of line.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from .model import Instruction, InstrKind, SystemConfig
 
@@ -147,86 +148,47 @@ class LitmusTest:
 # Tokenizer
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # ident / int / string / punct / value / eof
     text: str
     line: int
     column: int
 
 
-_PUNCT = ("/\\", "\\/", "{", "}", ";", ":", "=", "(", ")", "~")
-_PUNCT_START = frozenset(p[0] for p in _PUNCT)
+# One alternative per token kind, named after it; blanks and comments have
+# no kind.  A store value's ``#`` must come before a digit, or it starts a
+# comment.  ``bad`` catches what no token starts with.
+_SCAN = re.compile(
+    r'''[ \t\r]+|(?P<newline>\n)|\#(?P<value>\d+)|(?P<comment>\#[^\n]*)
+    |"(?P<string>[^"\n]*)"|(?P<punct>/\\|\\/|[{};:=()~])|(?P<int>\d+)
+    |(?P<ident>\w[\w.]*)|(?P<bad>.)''',
+    re.VERBOSE,
+)
 
 
 def _tokenize(text: str) -> list[_Token]:
     toks: list[_Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
+    line, line_start = 1, 0
+    m = None
+    for m in _SCAN.finditer(text):
+        kind = m.lastgroup
+        if kind is None or kind == "comment":
+            continue
+        if kind == "newline":
             line += 1
-            col = 1
-            i += 1
+            line_start = m.end()
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            if i + 1 < n and text[i + 1].isdecimal():
-                j = i + 1
-                while j < n and text[j].isdecimal():
-                    j += 1
-                toks.append(_Token("value", text[i + 1 : j], line, col))
-                col += j - i
-                i = j
-                continue
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                if text[j] == "\n":
-                    raise ParseError(line, col, "unterminated string")
-                j += 1
-            if j >= n:
-                raise ParseError(line, col, "unterminated string")
-            toks.append(_Token("string", text[i + 1 : j], line, col))
-            col += j - i + 1
-            i = j + 1
-            continue
-        matched = False
-        if ch in _PUNCT_START:
-            for p in _PUNCT:
-                if text.startswith(p, i):
-                    toks.append(_Token("punct", p, line, col))
-                    i += len(p)
-                    col += len(p)
-                    matched = True
-                    break
-        if matched:
-            continue
-        if ch.isdecimal():
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            toks.append(_Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_."):
-                j += 1
-            toks.append(_Token("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(line, col, f"unexpected character {ch!r}")
-    toks.append(_Token("eof", "", line, col))
+        col = m.start() - line_start + 1
+        ch = m[0][0]
+        # ``\w`` also admits digits that are not decimal, such as '²'.
+        if kind == "bad" or (kind == "ident" and not (ch.isalpha() or ch == "_")):
+            raise ParseError(
+                line, col, "unterminated string" if ch == '"' else f"unexpected character {ch!r}"
+            )
+        toks.append(_Token(kind, m[kind], line, col))
+    # A comment that ends the file leaves the end at its ``#``.
+    end = m.start() if m is not None and m.lastgroup == "comment" else len(text)
+    toks.append(_Token("eof", "", line, end - line_start + 1))
     return toks
 
 
