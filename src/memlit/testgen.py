@@ -145,11 +145,14 @@ def _goal_checker(test: LitmusTest, goal: PairGoal | None):
     regs = sorted(test.config.registers)
     # The wanted register values as bits of the rf field.
     mask = want = 0
+    wanted: dict[str, int] = {}
     for master, combo_ix in zip(goal.watched, goal.combo_indices):
         if master not in cc.master_index:
             raise KeyError(f"unknown master {master!r} in target")
         if not 0 <= combo_ix < len(combos):
             raise ValueError(f"combo index {combo_ix} out of range for {len(combos)} combos")
+        if wanted.setdefault(master, combo_ix) != combo_ix:
+            return lambda rf: False  # one master, two different combos
         combo = combos[combo_ix]
         for r in regs:
             sh = cc.reg_shift[cc.master_index[master]][cc.reg_index[r]] - cc.rf_shift

@@ -151,6 +151,27 @@ class TestGen:
         assert code == 4
         assert "no reachable state" in err
 
+    def test_one_master_two_combos_exit_four(self, capsys, fence_path, tmp_path):
+        out_file = tmp_path / "t.json"
+        code, _, err = run_cli(
+            capsys, "gen", fence_path, "--target", "M2:C1,M2:C2", "--out", str(out_file)
+        )
+        assert code == 4
+        assert "no reachable state" in err
+        assert not out_file.exists()
+
+    def test_one_master_named_twice_verifies(self, capsys, fence_path, tmp_path):
+        code, _, _ = run_cli(
+            capsys, "gen", fence_path, "--target", "M2:C1,M2:C1", "--out", str(tmp_path / "t.json")
+        )
+        assert code == 0
+        doc = json.loads((tmp_path / "t.json").read_text())
+        assert doc["target"]["pair"] == {"M2": "C1"}
+        assert doc["expected"]["M2"] == {"R1": 0, "R2": 1}
+        code, out, _ = run_cli(capsys, "suite", str(tmp_path), "--json")
+        assert code == 0
+        assert [r["status"] for r in json.loads(out)["replayed"]] == ["pass"]
+
     def test_bad_target_exit_two(self, capsys, fence_path):
         code, _, _ = run_cli(capsys, "gen", fence_path, "--target", "M2:C9,M3:C0")
         assert code == 2
