@@ -78,8 +78,8 @@ class ExplorationResult:
     # Register files of the states in which every load is observed.
     trigger_register_maps: frozenset[tuple[tuple[int, ...], ...]]
     compiled: CompiledConfig = field(repr=False)
-    # Shortest trace to the first trigger state found; None when no state
-    # observes every load.
+    # Shortest trace to the state a stop predicate stopped the search at or,
+    # without one, to the first trigger state found; None when there is none.
     witness: Trace | None = None
 
     def _sorted_maps(self, rfs) -> list[RegisterMap]:
@@ -113,10 +113,7 @@ def explore(
     """Breadth-first closure of the transition system, collecting the
     registers of every reachable state in which every load is observed,
     and a shortest witness trace to the first such state."""
-    result, _, _ = _explore_full(
-        config, max_states=max_states, name=name, stop_predicate=None
-    )
-    return result
+    return _explore_full(config, max_states=max_states, name=name, stop_predicate=None)[0]
 
 
 @contextmanager
@@ -212,11 +209,11 @@ def _explore_full(
     max_states: int,
     name: str,
     stop_predicate,
-) -> tuple[ExplorationResult, _Space, int | None]:
+) -> tuple[ExplorationResult, _Space]:
     """Search the packed states of ``config``.  ``stop_predicate``, if
     given, sees the rf field (``kernel.registers``) of each trigger state
     with a register file not seen before, and stops the search at the
-    first for which it returns True."""
+    first for which it returns True; the witness then leads there."""
     cc = compile_config(config)
     loads_observed = cc.loads_observed
     rf_shift, rf_mask = cc.rf_shift, cc.rf_mask
@@ -234,6 +231,7 @@ def _explore_full(
         return stop_predicate is not None and stop_predicate(rf)
 
     space = _bfs(cc.initial_state, partial(successors, cc), visit, max_states)
+    end = space.stop if stop_predicate is not None else next(iter(triggers.values()), None)
 
     final_states = [unpack(cc, p) for p in space.finals]
     result = ExplorationResult(
@@ -245,9 +243,9 @@ def _explore_full(
         event_tally={kernel.EVENT_NAMES[i]: n for i, n in enumerate(space.tally)},
         trigger_register_maps=frozenset(register_file(cc, rf) for rf in triggers),
         compiled=cc,
-        witness=space.trace_to(cc, next(iter(triggers.values()))) if triggers else None,
+        witness=space.trace_to(cc, end) if end is not None else None,
     )
-    return result, space, space.stop
+    return result, space
 
 
 def explore_test(
@@ -316,21 +314,20 @@ def check_outcome(
 
     The predicate runs once per distinct register file at trigger states.
     """
-    cc = compile_config(test.config)
-    evaluate = _compiled_predicate(cc, test)
+    evaluate = _compiled_predicate(compile_config(test.config), test)
     mode = test.outcome_mode
     if mode is OutcomeMode.REQUIRED:
         stop = lambda rf: not evaluate(rf)  # noqa: E731 - search for a refutation
     else:
         stop = evaluate
 
-    result, space, witness_state = _explore_full(
+    result = _explore_full(
         test.config,
         max_states=max_states,
         name=test.name,
         stop_predicate=stop,
-    )
-    witness = space.trace_to(cc, witness_state) if witness_state is not None else None
+    )[0]
+    witness = result.witness
 
     if mode is not OutcomeMode.ALLOWED:
         if witness is None:

@@ -233,6 +233,20 @@ class TestTracesFromParents:
                 checked += 1
         assert checked >= len(all_corpus) + 2
 
+    def test_a_holds_verdict_builds_no_trace(self, iriw_fence, monkeypatch):
+        # Each trace step re-expands a parent: a search that stops nowhere
+        # expands each of its 8124 states once and nothing more.
+        import memlit.explorer as explorer_mod
+
+        calls = []
+        real = explorer_mod.successors
+        monkeypatch.setattr(
+            explorer_mod, "successors", lambda cc, st: calls.append(st) or real(cc, st)
+        )
+        verdict = check_outcome(iriw_fence)
+        assert (verdict.kind, verdict.state_count) == ("Holds", 8124)
+        assert len(calls) == 8124
+
     # The gen targets of the benchmark's corpus workload: (test, M2 and M3
     # combos, --cover-events, reachable).
     @pytest.mark.parametrize(
