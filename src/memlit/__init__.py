@@ -1,15 +1,7 @@
 """memlit: an operational weak-memory model with exhaustive litmus-test
 exploration, functional coverage and model-based test generation."""
 
-from .kernel import (
-    EventDescriptor,
-    GuardFailed,
-    MachineState,
-    check_state_invariants,
-    enabled_events,
-    fire,
-    init_state,
-)
+from .kernel import EventDescriptor, GuardFailed, MachineState
 from .litmus import LitmusTest, OutcomeMode, ParseError, ValidationError, format_test, parse
 from .model import Instruction, InstrKind, InvalidConfig, SystemConfig
 from .explorer import (
@@ -42,13 +34,9 @@ __all__ = [
     "ValidationError",
     "Verdict",
     "check_outcome",
-    "check_state_invariants",
-    "enabled_events",
     "explore",
     "explore_test",
-    "fire",
     "format_test",
-    "init_state",
     "parse",
     "replay",
 ]

@@ -68,6 +68,9 @@ def _watch_pair(test: LitmusTest, spec: str) -> tuple[str, str]:
     for m in names:
         if m not in test.config.masters:
             raise _CliError(EXIT_USAGE, f"unknown master {m!r} in --watch")
+    if names[0] == names[1]:
+        # One master has one register file: pairs of two combos never cover.
+        raise _CliError(EXIT_USAGE, f"--watch names master {names[0]!r} twice")
     return names[0], names[1]
 
 
@@ -102,17 +105,17 @@ def _run_check(args: argparse.Namespace) -> int:
     except StateLimitExceeded as e:
         raise _CliError(EXIT_STATE_LIMIT, str(e)) from None
     doc = {"test": test.name, "mode": test.outcome_mode.value, **verdict.to_json()}
-    human = (
-        f"{test.name}: {verdict.kind} ({test.outcome_mode.value} outcome, "
-        f"{verdict.state_count} states)"
-    )
-    _emit(doc, args.json, human)
     if verdict.counterexample is not None and args.trace_out:
         trace_doc = {
             "test": test.name,
             "steps": [ev.to_json() for ev in verdict.counterexample],
         }
         _write(args.trace_out, json.dumps(trace_doc, indent=2, sort_keys=True) + "\n")
+    human = (
+        f"{test.name}: {verdict.kind} ({test.outcome_mode.value} outcome, "
+        f"{verdict.state_count} states)"
+    )
+    _emit(doc, args.json, human)
     return EXIT_OK if verdict.ok else EXIT_VIOLATED
 
 

@@ -21,6 +21,7 @@ from .kernel import (
     InternalEvent,
     MachineState,
     register_file,
+    registers,
     successors,
     to_descriptor,
     unpack,
@@ -72,7 +73,6 @@ class ExplorationResult:
     name: str
     state_count: int
     transition_count: int
-    final_states: list[MachineState]
     final_register_maps: frozenset[tuple[tuple[int, ...], ...]]
     event_tally: dict[str, int]
     # Register files of the states in which every load is observed.
@@ -233,13 +233,11 @@ def _explore_full(
     space = _bfs(cc.initial_state, partial(successors, cc), visit, max_states)
     end = space.stop if stop_predicate is not None else next(iter(triggers.values()), None)
 
-    final_states = [unpack(cc, p) for p in space.finals]
     result = ExplorationResult(
         name=name,
         state_count=len(space.parents),
         transition_count=space.transitions,
-        final_states=final_states,
-        final_register_maps=frozenset(st.rf for st in final_states),
+        final_register_maps=frozenset(register_file(cc, registers(cc, p)) for p in space.finals),
         event_tally={kernel.EVENT_NAMES[i]: n for i, n in enumerate(space.tally)},
         trigger_register_maps=frozenset(register_file(cc, rf) for rf in triggers),
         compiled=cc,
@@ -343,27 +341,20 @@ def check_outcome(
 # ---------------------------------------------------------------------------
 
 def replay(config: SystemConfig, trace: Trace) -> MachineState:
-    """Fold ``fire`` over the trace from the initial state."""
-    cc, states = _replay(config, trace)
-    return unpack(cc, states[-1])
+    """The state a trace leads to from the initial state, as a
+    ``MachineState`` view.  A step that names no event instance, or whose
+    guard fails, raises ReplayError."""
+    cc, p = _replay(config, trace)
+    return unpack(cc, p)
 
 
-def replay_states(config: SystemConfig, trace: Trace) -> list[MachineState]:
-    """All intermediate states (len(trace)+1 entries).  A step that names
-    no event instance, or whose guard fails, raises ReplayError."""
-    cc, states = _replay(config, trace)
-    return [unpack(cc, p) for p in states]
-
-
-def _replay(config: SystemConfig, trace: Trace) -> tuple[CompiledConfig, list[int]]:
-    """The packed states of a replay."""
+def _replay(config: SystemConfig, trace: Trace) -> tuple[CompiledConfig, int]:
+    """Fold ``kernel.step`` over the trace from the initial packed state."""
     cc = compile_config(config)
     p = cc.initial_state
-    states = [p]
     for i, ev in enumerate(trace):
         try:
             p = kernel.step(cc, p, ev)
         except kernel.GuardFailed as e:
             raise ReplayError(i, e) from None
-        states.append(p)
-    return cc, states
+    return cc, p

@@ -1,8 +1,9 @@
 """Guarded-transition semantics of the weak-memory machine.
 
-The core works on packed states: one int per machine state, laid out by
-``CompiledConfig`` (see ``model``).  ``MachineState`` is the public view
-of such an int; ``pack`` and ``unpack`` convert at the API boundary.
+The machine state is a packed int, one per state, laid out by
+``CompiledConfig`` (see ``model``); every search and replay runs on it.
+``MachineState`` is only the view of one that ``explorer.replay``
+returns, built by ``unpack``.
 Every event is a (name, parameter binding) pair; guards gate enabledness
 and actions build the successor.  Masks are over instruction slots /
 master indices of the compiled configuration.
@@ -33,13 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
-from .model import (
-    STORE_KINDS,
-    CompiledConfig,
-    InstrKind,
-    SystemConfig,
-    compile_config,
-)
+# The benchmark's tracer (``bench/tracing.py``) wraps ``kernel.compile_config``
+# by name; nothing in this module calls it.
+from .model import STORE_KINDS, CompiledConfig, InstrKind, compile_config  # noqa: F401
 
 EVENT_NAMES = (
     "IssueStore",
@@ -95,14 +92,15 @@ class GuardFailed(Exception):
 
 
 class MachineState(NamedTuple):
-    """Machine variables: the public view of a packed state.
+    """Machine variables: the view of a packed state that ``replay``
+    returns.
 
     issued/observed/issuedfence are instruction-slot masks, observers and
     after map instruction slots to master/load masks, lov and rf are value
     grids indexed [master][address] / [master][register], cursor holds the
     next 1-based program position per master, and atomic_order lists
     atomic accesses in first-observation order.  issued, issuedfence,
-    observed and cursor are derived; ``pack`` ignores them.
+    observed and cursor are derived from the other fields.
     """
 
     issued: int
@@ -157,12 +155,6 @@ class EventDescriptor:
 InternalEvent = tuple[int, int, int, int, int]
 
 
-@dataclass(frozen=True)
-class Violation:
-    invariant: str
-    message: str
-
-
 # ---------------------------------------------------------------------------
 # Packed states
 # ---------------------------------------------------------------------------
@@ -202,40 +194,6 @@ def unpack(cc: CompiledConfig, p: int) -> MachineState:
         cursor=tuple([1 + (p & prog).bit_count() for prog in cc.program_mask]),
         atomic_order=tuple([x for rank, x in ranked if rank]),
     )
-
-
-def pack(cc: CompiledConfig, state: MachineState) -> int:
-    """Packed form of a state; the inverse of ``unpack`` on every state
-    the kernel reaches.  Raises ValueError for a state the layout cannot
-    hold: a value outside the domain, or an after pair or atomic-order
-    entry no event can produce."""
-    p = state.issued | state.issuedfence
-    for sh, obs in zip(cc.obs_shift, state.observers):
-        p |= obs << sh
-    for grid, shifts in ((state.lov, cc.lov_shift), (state.rf, cc.reg_shift)):
-        for row, row_shifts in zip(grid, shifts):
-            for v, sh in zip(row, row_shifts):
-                if v not in cc.value_index:
-                    raise ValueError(f"value {v} outside the domain")
-                p |= cc.value_index[v] << sh
-    for s, loads in enumerate(state.after):
-        for l in range(cc.n_instr):
-            if (loads >> l) & 1:
-                if not cc.after_bit[s][l]:
-                    raise ValueError(f"after({s}) holds slot {l}")
-                p |= cc.after_bit[s][l]
-    for rank, x in enumerate(state.atomic_order, start=1):
-        if not cc.rank_shift[x]:
-            raise ValueError(f"slot {x} in atomic order is not atomic")
-        p |= rank << cc.rank_shift[x]
-    return p
-
-
-def init_state(config: SystemConfig) -> MachineState:
-    """Initial state: nothing issued, memory at its initial values,
-    every register at 0."""
-    cc = compile_config(config)
-    return unpack(cc, cc.initial_state)
 
 
 # ---------------------------------------------------------------------------
@@ -665,14 +623,6 @@ def to_internal(cc: CompiledConfig, ev: EventDescriptor) -> InternalEvent:
     return (code, islot(ev.l), midx(ev.m), islot(ev.f), islot(ev.s))
 
 
-def enabled_events(state: MachineState, config: SystemConfig) -> set[EventDescriptor]:
-    """The event instances whose guards hold in ``state``: exact on every
-    reachable state, since the guards' masks lean on invariants that only
-    reachable states are sure to keep."""
-    cc = compile_config(config)
-    return {to_descriptor(cc, ev) for ev, _ in successors(cc, pack(cc, state))}
-
-
 def step(cc: CompiledConfig, p: int, ev: EventDescriptor) -> int:
     """Successor of packed state p for ``ev``; raises GuardFailed quoting
     the first violated guard, filled with the event's ids, if it is not
@@ -689,96 +639,3 @@ def step(cc: CompiledConfig, p: int, ev: EventDescriptor) -> int:
         )
         raise GuardFailed(ev.name, f"grd{n}", f"{text} (params {ev.params()})")
     return apply_event(cc, p, internal)
-
-
-def fire(state: MachineState, config: SystemConfig, ev: EventDescriptor) -> MachineState:
-    """Successor state for ``ev``; raises GuardFailed naming the first
-    violated guard if the event is not enabled."""
-    cc = compile_config(config)
-    return unpack(cc, step(cc, pack(cc, state), ev))
-
-
-# ---------------------------------------------------------------------------
-# State invariants
-# ---------------------------------------------------------------------------
-
-def check_state_invariants(state: MachineState, config: SystemConfig) -> list[Violation]:
-    """Structural invariants of a machine state; empty list iff all hold."""
-    cc = compile_config(config)
-    out: list[Violation] = []
-
-    def bad(inv: str, msg: str) -> None:
-        out.append(Violation(inv, msg))
-
-    if state.issued & ~cc.access_mask:
-        bad("inv1", f"issued contains non-accesses: {cc.mask_to_instr_ids(state.issued & ~cc.access_mask)}")
-    if state.observed & ~state.issued:
-        bad("inv2", f"observed not within issued: {cc.mask_to_instr_ids(state.observed & ~state.issued)}")
-    if state.issuedfence & ~cc.fence_mask:
-        bad("inv3", "issuedfence contains non-fences")
-
-    for x in range(cc.n_instr):
-        obs = state.observers[x]
-        if obs and not (state.issued >> x) & 1:
-            bad("inv4", f"{cc.instrs[x].id} has observers but is not issued")
-        if obs & ~cc.all_masters_mask:
-            bad("inv5", f"{cc.instrs[x].id} observed by unknown master bits")
-        if cc.kind[x] in (InstrKind.LOAD, InstrKind.SC_ACQ_LOAD):
-            if obs & ~(1 << cc.issuer_ix[x]):
-                bad(
-                    "load-observer",
-                    f"load {cc.instrs[x].id} observed by a non-issuer "
-                    f"({sorted(cc.mask_to_masters(obs))})",
-                )
-        if ((state.observed >> x) & 1) != (1 if obs else 0):
-            bad("inv6", f"{cc.instrs[x].id}: observed flag inconsistent with observers")
-
-        aft = state.after[x]
-        if aft:
-            if cc.kind[x] not in (InstrKind.STORE, InstrKind.SC_REL_STORE):
-                bad("inv7", f"after defined on non-store {cc.instrs[x].id}")
-            elif not (state.issued >> x) & 1:
-                bad("inv7", f"after defined on unissued store {cc.instrs[x].id}")
-            else:
-                for j in range(cc.n_instr):
-                    if not (aft >> j) & 1:
-                        continue
-                    if cc.kind[j] not in (InstrKind.LOAD, InstrKind.SC_ACQ_LOAD):
-                        bad("inv7", f"after({cc.instrs[x].id}) contains non-load {cc.instrs[j].id}")
-                    elif not (state.issued >> j) & 1:
-                        bad("inv7", f"after({cc.instrs[x].id}) contains unissued {cc.instrs[j].id}")
-                    elif cc.addr_ix[j] != cc.addr_ix[x]:
-                        bad("inv7", f"after({cc.instrs[x].id}) crosses addresses with {cc.instrs[j].id}")
-
-    for mi, m in enumerate(cc.masters):
-        if not 1 <= state.cursor[mi] <= len(cc.program_slots[mi]) + 1:
-            bad("inv8", f"cursor({m}) = {state.cursor[mi]} out of range")
-        if len(state.lov[mi]) != len(cc.addr_names):
-            bad("inv9", f"lov({m}) not total on addresses")
-        elif any(v not in cc.config.values for v in state.lov[mi]):
-            bad("inv9", f"lov({m}) holds a value outside the domain")
-        if len(state.rf[mi]) != len(cc.reg_names):
-            bad("inv10", f"rf({m}) not total on registers")
-        elif any(v not in cc.config.values for v in state.rf[mi]):
-            bad("inv10", f"rf({m}) holds a value outside the domain")
-        # Program-order issuing couples the cursor with issued/issuedfence.
-        for x in cc.program_slots[mi]:
-            should = cc.index_of[x] < state.cursor[mi]
-            mask = state.issuedfence if cc.kind[x] is InstrKind.FENCE else state.issued
-            if bool((mask >> x) & 1) != should:
-                bad("cursor-issue", f"{cc.instrs[x].id} issue flag disagrees with cursor({m})")
-
-    seen = set()
-    for x in state.atomic_order:
-        if cc.kind[x] not in (InstrKind.SC_REL_STORE, InstrKind.SC_ACQ_LOAD):
-            bad("atomic-order", f"{cc.instrs[x].id} in atomic order is not atomic")
-        if x in seen:
-            bad("atomic-order", f"{cc.instrs[x].id} listed twice in atomic order")
-        seen.add(x)
-        if state.observers[x] == 0:
-            bad("atomic-order", f"{cc.instrs[x].id} in atomic order but never observed")
-    for x in (*cc.rel_store_slots, *cc.acq_load_slots):
-        if state.observers[x] and x not in seen:
-            bad("atomic-order", f"observed atomic {cc.instrs[x].id} missing from atomic order")
-
-    return out

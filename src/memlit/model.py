@@ -279,7 +279,7 @@ class CompiledConfig:
 
     def _encode(self) -> None:
         """Bit layout of the packed machine state, the one int per state
-        the search works on (``kernel.pack``/``kernel.unpack``).
+        the search works on (``kernel.unpack`` reads it back as a view).
 
         From bit 0 up: one issued bit per slot; one observer bit per
         (slot, master), each slot's masters side by side; a value-index
@@ -380,14 +380,6 @@ class CompiledConfig:
             return self.slot_of[instr_id]
         except KeyError:
             raise KeyError(f"unknown instruction id {instr_id!r}") from None
-
-    def mask_to_masters(self, mask: int) -> frozenset[str]:
-        return frozenset(m for i, m in enumerate(self.masters) if (mask >> i) & 1)
-
-    def mask_to_instr_ids(self, mask: int) -> frozenset[str]:
-        return frozenset(
-            ins.id for i, ins in enumerate(self.instrs) if (mask >> i) & 1
-        )
 
 
 @lru_cache(maxsize=128)

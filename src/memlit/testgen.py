@@ -268,11 +268,10 @@ def verify_test(doc: str | bytes | TestCase) -> VerifyResult:
         return VerifyResult(False, [f"litmus source does not parse: {e}"])
 
     try:
-        cc, states = _replay(test.config, tc.trace)
+        cc, final = _replay(test.config, tc.trace)
     except Exception as e:
         return VerifyResult(False, [f"trace does not replay: {e}"])
 
-    final = states[-1]
     got = _rf_snapshot(cc, register_file(cc, registers(cc, final)))
     if tc.expected is not None and got != tc.expected:
         problems.append(f"replayed registers {got} != expected {tc.expected}")

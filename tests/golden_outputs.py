@@ -22,7 +22,8 @@ from pathlib import Path
 
 from memlit import corpus
 from memlit.cli import main
-from memlit.explorer import explore
+from memlit.explorer import DEFAULT_MAX_STATES, _explore_full
+from memlit.kernel import register_file, registers
 
 from oracle import random_config
 
@@ -94,13 +95,14 @@ def _fuzz_goldens() -> dict[str, str]:
 def random_config_facts(seed: int) -> dict:
     """Exploration facts of one seeded random config, watching every load."""
     cfg = random_config(random.Random(seed), max_per_master=RANDOM_MAX_PER_MASTER)
-    res = explore(cfg)
+    res, space = _explore_full(cfg, max_states=DEFAULT_MAX_STATES, name="", stop_predicate=None)
+    cc = res.compiled
     return {
         "seed": seed,
         "stateCount": res.state_count,
         "transitions": res.transition_count,
         "eventTally": res.event_tally,
-        "finals": [st.rf for st in res.final_states],
+        "finals": [register_file(cc, registers(cc, p)) for p in space.finals],
         "witness": None if res.witness is None else [ev.to_json() for ev in res.witness],
     }
 

@@ -1,4 +1,5 @@
-"""Independent oracles the test suite checks the explorer against.
+"""Independent oracles the test suite checks the explorer against, and the
+``MachineState`` toolkit the tests drive the kernel with.
 
 Nothing here touches the explorer's deduplication, its BFS frontier or the
 coverage module: final/trigger register sets are recomputed by depth-first
@@ -7,6 +8,12 @@ sequentially consistent outcomes by an interpreter without the kernel,
 program order, coherence and happens-before by a checker over raw traces, and
 membership of a fuzz program class by its definition rather than its sampler,
 and litmus tokens by the character loop the tokenizer replaced.
+
+The package's machine state is the packed int; ``MachineState`` is only the
+view ``replay`` returns.  The toolkit converts at that boundary: ``pack``
+inverts ``kernel.unpack``, ``init_state``, ``enabled_events``, ``fire`` and
+``replay_states`` run the packed kernel on views, and
+``check_state_invariants`` checks a view's structural invariants.
 """
 
 from __future__ import annotations
@@ -15,14 +22,15 @@ import random
 from dataclasses import dataclass
 
 from memlit import kernel
+from memlit.explorer import ReplayError, Trace
 from memlit.kernel import (
+    EventDescriptor,
+    GuardFailed,
     InstrKind,
     MachineState,
     apply_event,
-    check_state_invariants,
-    init_state,
-    pack,
     successors,
+    to_descriptor,
     to_internal,
     unpack,
 )
@@ -30,6 +38,175 @@ from memlit.litmus import ParseError
 from memlit.model import LOAD_KINDS, STORE_KINDS, CompiledConfig, SystemConfig, compile_config
 from memlit.testgen import ProgramClass
 
+
+# ---------------------------------------------------------------------------
+# The MachineState toolkit
+# ---------------------------------------------------------------------------
+
+def mask_to_masters(cc: CompiledConfig, mask: int) -> frozenset[str]:
+    return frozenset(m for i, m in enumerate(cc.masters) if (mask >> i) & 1)
+
+
+def mask_to_instr_ids(cc: CompiledConfig, mask: int) -> frozenset[str]:
+    return frozenset(ins.id for i, ins in enumerate(cc.instrs) if (mask >> i) & 1)
+
+
+def pack(cc: CompiledConfig, state: MachineState) -> int:
+    """Packed form of a state; the inverse of ``unpack`` on every state
+    the kernel reaches.  The derived fields issued, issuedfence, observed
+    and cursor are ignored.  Raises ValueError for a state the layout cannot
+    hold: a value outside the domain, or an after pair or atomic-order
+    entry no event can produce."""
+    p = state.issued | state.issuedfence
+    for sh, obs in zip(cc.obs_shift, state.observers):
+        p |= obs << sh
+    for grid, shifts in ((state.lov, cc.lov_shift), (state.rf, cc.reg_shift)):
+        for row, row_shifts in zip(grid, shifts):
+            for v, sh in zip(row, row_shifts):
+                if v not in cc.value_index:
+                    raise ValueError(f"value {v} outside the domain")
+                p |= cc.value_index[v] << sh
+    for s, loads in enumerate(state.after):
+        for l in range(cc.n_instr):
+            if (loads >> l) & 1:
+                if not cc.after_bit[s][l]:
+                    raise ValueError(f"after({s}) holds slot {l}")
+                p |= cc.after_bit[s][l]
+    for rank, x in enumerate(state.atomic_order, start=1):
+        if not cc.rank_shift[x]:
+            raise ValueError(f"slot {x} in atomic order is not atomic")
+        p |= rank << cc.rank_shift[x]
+    return p
+
+
+def init_state(config: SystemConfig) -> MachineState:
+    """Initial state: nothing issued, memory at its initial values,
+    every register at 0."""
+    cc = compile_config(config)
+    return unpack(cc, cc.initial_state)
+
+
+def enabled_events(state: MachineState, config: SystemConfig) -> set[EventDescriptor]:
+    """The event instances whose guards hold in ``state``: exact on every
+    reachable state, since the guards' masks lean on invariants that only
+    reachable states are sure to keep."""
+    cc = compile_config(config)
+    return {to_descriptor(cc, ev) for ev, _ in successors(cc, pack(cc, state))}
+
+
+def fire(state: MachineState, config: SystemConfig, ev: EventDescriptor) -> MachineState:
+    """Successor state for ``ev``; raises GuardFailed naming the first
+    violated guard if the event is not enabled."""
+    cc = compile_config(config)
+    return unpack(cc, kernel.step(cc, pack(cc, state), ev))
+
+
+def replay_states(config: SystemConfig, trace: Trace) -> list[MachineState]:
+    """All intermediate states of ``replay`` (len(trace)+1 entries).  A step
+    that names no event instance, or whose guard fails, raises ReplayError."""
+    cc = compile_config(config)
+    p = cc.initial_state
+    states = [unpack(cc, p)]
+    for i, ev in enumerate(trace):
+        try:
+            p = kernel.step(cc, p, ev)
+        except GuardFailed as e:
+            raise ReplayError(i, e) from None
+        states.append(unpack(cc, p))
+    return states
+
+
+@dataclass(frozen=True)
+class Violation:
+    invariant: str
+    message: str
+
+
+def check_state_invariants(state: MachineState, config: SystemConfig) -> list[Violation]:
+    """Structural invariants of a machine state; empty list iff all hold."""
+    cc = compile_config(config)
+    out: list[Violation] = []
+
+    def bad(inv: str, msg: str) -> None:
+        out.append(Violation(inv, msg))
+
+    if state.issued & ~cc.access_mask:
+        bad("inv1", f"issued contains non-accesses: {mask_to_instr_ids(cc, state.issued & ~cc.access_mask)}")
+    if state.observed & ~state.issued:
+        bad("inv2", f"observed not within issued: {mask_to_instr_ids(cc, state.observed & ~state.issued)}")
+    if state.issuedfence & ~cc.fence_mask:
+        bad("inv3", "issuedfence contains non-fences")
+
+    for x in range(cc.n_instr):
+        obs = state.observers[x]
+        if obs and not (state.issued >> x) & 1:
+            bad("inv4", f"{cc.instrs[x].id} has observers but is not issued")
+        if obs & ~cc.all_masters_mask:
+            bad("inv5", f"{cc.instrs[x].id} observed by unknown master bits")
+        if cc.kind[x] in (InstrKind.LOAD, InstrKind.SC_ACQ_LOAD):
+            if obs & ~(1 << cc.issuer_ix[x]):
+                bad(
+                    "load-observer",
+                    f"load {cc.instrs[x].id} observed by a non-issuer "
+                    f"({sorted(mask_to_masters(cc, obs))})",
+                )
+        if ((state.observed >> x) & 1) != (1 if obs else 0):
+            bad("inv6", f"{cc.instrs[x].id}: observed flag inconsistent with observers")
+
+        aft = state.after[x]
+        if aft:
+            if cc.kind[x] not in (InstrKind.STORE, InstrKind.SC_REL_STORE):
+                bad("inv7", f"after defined on non-store {cc.instrs[x].id}")
+            elif not (state.issued >> x) & 1:
+                bad("inv7", f"after defined on unissued store {cc.instrs[x].id}")
+            else:
+                for j in range(cc.n_instr):
+                    if not (aft >> j) & 1:
+                        continue
+                    if cc.kind[j] not in (InstrKind.LOAD, InstrKind.SC_ACQ_LOAD):
+                        bad("inv7", f"after({cc.instrs[x].id}) contains non-load {cc.instrs[j].id}")
+                    elif not (state.issued >> j) & 1:
+                        bad("inv7", f"after({cc.instrs[x].id}) contains unissued {cc.instrs[j].id}")
+                    elif cc.addr_ix[j] != cc.addr_ix[x]:
+                        bad("inv7", f"after({cc.instrs[x].id}) crosses addresses with {cc.instrs[j].id}")
+
+    for mi, m in enumerate(cc.masters):
+        if not 1 <= state.cursor[mi] <= len(cc.program_slots[mi]) + 1:
+            bad("inv8", f"cursor({m}) = {state.cursor[mi]} out of range")
+        if len(state.lov[mi]) != len(cc.addr_names):
+            bad("inv9", f"lov({m}) not total on addresses")
+        elif any(v not in cc.config.values for v in state.lov[mi]):
+            bad("inv9", f"lov({m}) holds a value outside the domain")
+        if len(state.rf[mi]) != len(cc.reg_names):
+            bad("inv10", f"rf({m}) not total on registers")
+        elif any(v not in cc.config.values for v in state.rf[mi]):
+            bad("inv10", f"rf({m}) holds a value outside the domain")
+        # Program-order issuing couples the cursor with issued/issuedfence.
+        for x in cc.program_slots[mi]:
+            should = cc.index_of[x] < state.cursor[mi]
+            mask = state.issuedfence if cc.kind[x] is InstrKind.FENCE else state.issued
+            if bool((mask >> x) & 1) != should:
+                bad("cursor-issue", f"{cc.instrs[x].id} issue flag disagrees with cursor({m})")
+
+    seen = set()
+    for x in state.atomic_order:
+        if cc.kind[x] not in (InstrKind.SC_REL_STORE, InstrKind.SC_ACQ_LOAD):
+            bad("atomic-order", f"{cc.instrs[x].id} in atomic order is not atomic")
+        if x in seen:
+            bad("atomic-order", f"{cc.instrs[x].id} listed twice in atomic order")
+        seen.add(x)
+        if state.observers[x] == 0:
+            bad("atomic-order", f"{cc.instrs[x].id} in atomic order but never observed")
+    for x in (*cc.rel_store_slots, *cc.acq_load_slots):
+        if state.observers[x] and x not in seen:
+            bad("atomic-order", f"observed atomic {cc.instrs[x].id} missing from atomic order")
+
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Exploration oracles
+# ---------------------------------------------------------------------------
 
 def enumerate_paths(config: SystemConfig, max_paths: int = 2_000_000):
     """Every maximal event path, with no deduplication of any kind.
@@ -385,7 +562,7 @@ def check_trace_orderings(config: SystemConfig, trace) -> OrderingReport:
             hb_applicable = True
             already_after = states[step].after[s]
             if already_after:
-                names = sorted(cc.mask_to_instr_ids(already_after))
+                names = sorted(mask_to_instr_ids(cc, already_after))
                 hb_witnesses.append(
                     f"step {step}: {cc.instrs[x].id} observed before store "
                     f"{cc.instrs[s].id}, but loads {names} were already observed after it"

@@ -11,8 +11,8 @@ import pytest
 from memlit import corpus
 from memlit.cli import main as cli_main
 from memlit.coverage import cover, event_coverage, reg_combos
-from memlit.explorer import check_outcome, explore_test, replay_states
-from memlit.kernel import check_state_invariants, to_descriptor
+from memlit.explorer import check_outcome, explore_test
+from memlit.kernel import to_descriptor
 from memlit.litmus import format_test, parse
 from memlit.model import compile_config
 from memlit.testgen import (
@@ -24,7 +24,13 @@ from memlit.testgen import (
     verify_test,
 )
 
-from oracle import dfs_register_sets, random_config, random_walk
+from oracle import (
+    check_state_invariants,
+    dfs_register_sets,
+    random_config,
+    random_walk,
+    replay_states,
+)
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:

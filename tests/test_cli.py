@@ -112,6 +112,15 @@ class TestCheck:
         assert code == 2
         assert len(err.splitlines()) == 1 and str(path) in err
 
+    @pytest.mark.parametrize("name", ["mp-relaxed", "iriw-nofence"])
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_unwritable_trace_out_prints_no_verdict(self, capsys, tmp_path, name, as_json):
+        path = tmp_path / "missing" / "t.json"
+        argv = ["check", str(corpus.corpus_path(name)), "--trace-out", str(path)]
+        code, out, err = run_cli(capsys, *argv, *(["--json"] if as_json else []))
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and str(path) in err
+
 
 class TestCover:
     def test_fifteen_of_sixteen(self, capsys, fence_path):
@@ -129,6 +138,11 @@ class TestCover:
     def test_unknown_master_exit_two(self, capsys, fence_path):
         code, _, err = run_cli(capsys, "cover", fence_path, "--watch", "M2,M9")
         assert code == 2
+
+    def test_one_master_watched_twice_exit_two(self, capsys, fence_path):
+        code, out, err = run_cli(capsys, "cover", fence_path, "--watch", "M2,M2", "--json")
+        assert (code, out) == (2, "")
+        assert err == "--watch names master 'M2' twice\n"
 
     def test_nofence_sixteen(self, capsys, nofence_path):
         code, out, _ = run_cli(capsys, "cover", nofence_path, "--watch", "M2,M3")

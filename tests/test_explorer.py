@@ -19,30 +19,25 @@ from memlit.explorer import (
     explore,
     explore_test,
     replay,
-    replay_states,
 )
-from memlit.kernel import (
-    EVENT_NAMES,
-    EventDescriptor,
-    check_state_invariants,
-    fire,
-    init_state,
-    pack,
-    successors,
-    to_descriptor,
-)
+from memlit.kernel import EVENT_NAMES, EventDescriptor, successors, to_descriptor
 from memlit.litmus import parse
 from memlit.model import InstrKind, SystemConfig, compile_config
 
 from oracle import (
     SAMPLED_SEEDS,
+    check_state_invariants,
     check_trace_orderings,
     dfs_register_sets,
     edge_bfs,
     edge_path,
     enumerate_paths,
+    fire,
+    init_state,
+    pack,
     random_config,
     random_walk,
+    replay_states,
     replay_unguarded,
     sc_register_files,
 )

@@ -15,18 +15,26 @@ from memlit.kernel import (
     GuardFailed,
     apply_event,
     check_guards,
-    check_state_invariants,
-    enabled_events,
-    fire,
-    init_state,
-    pack,
     successors,
     to_descriptor,
     unpack,
 )
 from memlit.model import Instruction, InstrKind, InvalidConfig, SystemConfig, compile_config
 
-from oracle import SAMPLED_SEEDS, all_event_instances, fold_lov, random_config, random_walk
+from oracle import (
+    SAMPLED_SEEDS,
+    all_event_instances,
+    check_state_invariants,
+    enabled_events,
+    fire,
+    fold_lov,
+    init_state,
+    mask_to_instr_ids,
+    mask_to_masters,
+    pack,
+    random_config,
+    random_walk,
+)
 
 
 def make_config(programs: dict[str, list[tuple]], init=None) -> SystemConfig:
@@ -122,12 +130,12 @@ class TestPacking:
 class TestAheadOf:
     def test_iriw_fence_predecessors(self, iriw_fence):
         cc = compile_config(iriw_fence.config)
-        assert cc.mask_to_instr_ids(cc.ahead_mask[cc.slot("I22")]) == {"I21"}
-        assert cc.mask_to_instr_ids(cc.ahead_mask[cc.slot("I32")]) == {"I31"}
+        assert mask_to_instr_ids(cc, cc.ahead_mask[cc.slot("I22")]) == {"I21"}
+        assert mask_to_instr_ids(cc, cc.ahead_mask[cc.slot("I32")]) == {"I31"}
 
     def test_fence_first_has_no_predecessors(self):
         cc = compile_config(make_config({"M1": [(InstrKind.FENCE,), (InstrKind.STORE, "a1", 1)]}))
-        assert cc.mask_to_instr_ids(cc.ahead_mask[cc.slot("M1_1")]) == set()
+        assert mask_to_instr_ids(cc, cc.ahead_mask[cc.slot("M1_1")]) == set()
 
     def test_two_stores_before_fence(self):
         cfg = make_config({
@@ -139,7 +147,7 @@ class TestAheadOf:
             ]
         })
         cc = compile_config(cfg)
-        assert cc.mask_to_instr_ids(cc.ahead_mask[cc.slot("M1_3")]) == {"M1_1", "M1_2"}
+        assert mask_to_instr_ids(cc, cc.ahead_mask[cc.slot("M1_3")]) == {"M1_1", "M1_2"}
 
 
 class TestEnabledEvents:
@@ -181,7 +189,7 @@ class TestFire:
         st = fire(init_state(cfg), cfg, EventDescriptor(name="IssueStore", s="I11"))
         st = fire(st, cfg, EventDescriptor(name="ObserveStoreWithoutFence", s="I11", m="M2"))
         assert st.lov[cc.master_index["M2"]][cc.addr_index["a1"]] == 1
-        assert cc.mask_to_masters(st.observers[cc.slot("I11")]) == {"M2"}
+        assert mask_to_masters(cc, st.observers[cc.slot("I11")]) == {"M2"}
         assert (st.observed >> cc.slot("I11")) & 1
 
     def test_double_observation_fails_grd3(self, iriw_fence):
@@ -214,7 +222,7 @@ class TestFire:
         ):
             st = fire(st, cfg, ev)
         assert st.rf[cc.master_index["M2"]][cc.reg_index["R2"]] == 1
-        assert cc.mask_to_instr_ids(st.after[cc.slot("I12")]) == {"I23"}
+        assert mask_to_instr_ids(cc, st.after[cc.slot("I12")]) == {"I23"}
 
     def test_fire_is_pure(self, iriw_fence):
         cfg = iriw_fence.config
