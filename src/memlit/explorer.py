@@ -1,10 +1,10 @@
 """Exhaustive interleaving exploration, outcome verdicts and replay.
 
-``explore`` runs a breadth-first closure over the kernel transition
-relation with packed-state deduplication, so counterexample traces are
-shortest.  ``check_outcome`` evaluates a litmus test's outcome invariant
-at every reachable state; the invariant triggers once every load has
-been observed.
+``_explore_full`` is the package's one breadth-first search, with
+packed-state deduplication, so every trace is shortest: ``explore``,
+``check_outcome`` and ``testgen.find_trace`` each run it once.
+``check_outcome`` evaluates a litmus test's outcome invariant at every
+reachable state; it triggers once every load has been observed.
 """
 
 from __future__ import annotations
@@ -145,9 +145,7 @@ class _Space:
     parents: dict  # node -> the node that first reached it, root -> None
     expand: Callable  # the search's own expansion, re-run by ``events_to``
     finals: list  # nodes without successors, in discovery order
-    tally: list[int]  # transitions per event code
-    transitions: int
-    stop: object | None  # the node ``visit`` stopped at
+    stop: int | None  # the node the stop predicate stopped the search at
 
     def events_to(self, node) -> list[InternalEvent]:
         steps: list[InternalEvent] = []
@@ -161,15 +159,46 @@ class _Space:
         return tuple(to_descriptor(cc, ev) for ev in self.events_to(node))
 
 
-def _bfs(root, expand, visit, max_states: int) -> _Space:
-    """The breadth-first search core of exploration and trace generation.
+def _explore_full(
+    config: SystemConfig,
+    *,
+    max_states: int,
+    name: str,
+    stop_predicate,
+    expand=None,
+) -> tuple[ExplorationResult, _Space]:
+    """The one breadth-first search: exploration, verdicts and trace
+    generation all run it.
 
-    ``expand(node)`` lists a node's (internal event, successor node) pairs
-    in a deterministic order.  ``visit`` sees each node once, the root
-    first, in discovery order; the search stops at the first node for which
-    it returns True.  Raises ``StateLimitExceeded`` once more than
-    ``max_states`` nodes have been reached.
+    Nodes are packed states of ``config``, with any bits ``expand`` sets
+    above ``cc.state_bits`` (``find_trace``'s fired mustCover events).
+    ``expand(node)`` lists (internal event, successor) pairs in a fixed
+    order; None means ``partial(successors, cc)``.  A trigger node has
+    every load observed; its key is its rf field (``kernel.registers``)
+    with the bits above the state above that.  ``stop_predicate``, if
+    given, sees each new trigger key and stops the search at the first
+    for which it returns True; the witness then leads there.  Raises
+    ``StateLimitExceeded`` once more than ``max_states`` nodes are reached.
     """
+    cc = compile_config(config)
+    expand = expand or partial(successors, cc)
+    loads_observed, state_bits = cc.loads_observed, cc.state_bits
+    rf_shift, rf_mask = cc.rf_shift, cc.rf_mask
+    rf_width = rf_mask.bit_length()
+    # Trigger keys, each with the first node that reached it.
+    triggers: dict[int, int] = {}
+
+    def visit(p: int) -> bool:
+        """Trigger bookkeeping; True stops the search here."""
+        if p & loads_observed != loads_observed:
+            return False
+        key = (p >> rf_shift) & rf_mask | (p >> state_bits) << rf_width
+        if key in triggers:
+            return False
+        triggers[key] = p
+        return stop_predicate is not None and stop_predicate(key)
+
+    root = cc.initial_state
     parents: dict = {root: None}
     finals = []
     tally = [0] * len(kernel.EVENT_NAMES)
@@ -200,46 +229,16 @@ def _bfs(root, expand, visit, max_states: int) -> _Space:
                     break
             frontier = next_frontier
             depth += 1
-    return _Space(parents, expand, finals, tally, transitions, stop)
-
-
-def _explore_full(
-    config: SystemConfig,
-    *,
-    max_states: int,
-    name: str,
-    stop_predicate,
-) -> tuple[ExplorationResult, _Space]:
-    """Search the packed states of ``config``.  ``stop_predicate``, if
-    given, sees the rf field (``kernel.registers``) of each trigger state
-    with a register file not seen before, and stops the search at the
-    first for which it returns True; the witness then leads there."""
-    cc = compile_config(config)
-    loads_observed = cc.loads_observed
-    rf_shift, rf_mask = cc.rf_shift, cc.rf_mask
-    # Trigger rf fields, each with the first state that reached it.
-    triggers: dict[int, int] = {}
-
-    def visit(p: int) -> bool:
-        """Trigger bookkeeping; True stops the search here."""
-        if p & loads_observed != loads_observed:
-            return False
-        rf = (p >> rf_shift) & rf_mask
-        if rf in triggers:
-            return False
-        triggers[rf] = p
-        return stop_predicate is not None and stop_predicate(rf)
-
-    space = _bfs(cc.initial_state, partial(successors, cc), visit, max_states)
-    end = space.stop if stop_predicate is not None else next(iter(triggers.values()), None)
+    space = _Space(parents, expand, finals, stop)
+    end = stop if stop_predicate is not None else next(iter(triggers.values()), None)
 
     result = ExplorationResult(
         name=name,
-        state_count=len(space.parents),
-        transition_count=space.transitions,
-        final_register_maps=frozenset(register_file(cc, registers(cc, p)) for p in space.finals),
-        event_tally={kernel.EVENT_NAMES[i]: n for i, n in enumerate(space.tally)},
-        trigger_register_maps=frozenset(register_file(cc, rf) for rf in triggers),
+        state_count=len(parents),
+        transition_count=transitions,
+        final_register_maps=frozenset(register_file(cc, registers(cc, p)) for p in finals),
+        event_tally={kernel.EVENT_NAMES[i]: n for i, n in enumerate(tally)},
+        trigger_register_maps=frozenset(register_file(cc, key & rf_mask) for key in triggers),
         compiled=cc,
         witness=space.trace_to(cc, end) if end is not None else None,
     )

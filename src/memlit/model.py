@@ -210,7 +210,6 @@ class CompiledConfig:
 
         self.kind = tuple(ins.kind for ins in instrs)
         self.issuer_ix = tuple(self.master_index[ins.issuer] for ins in instrs)
-        self.index_of = tuple(ins.index for ins in instrs)
         self.addr_ix = tuple(
             self.addr_index[ins.address] if ins.address is not None else -1 for ins in instrs
         )
@@ -222,7 +221,7 @@ class CompiledConfig:
         slots_of_kind: dict[InstrKind, list[int]] = {kind: [] for kind in InstrKind}
         # Stores (either kind) per address: witness candidates for loads.
         stores: list[list[int]] = [[] for _ in self.addr_names]
-        # Per master: fence slots, and a flag mask of that master's fences.
+        # Per master: fence slots, for a flag mask of that master's fences.
         fences: list[list[int]] = [[] for _ in config.masters]
         for i, kind in enumerate(self.kind):
             slots_of_kind[kind].append(i)
@@ -238,7 +237,6 @@ class CompiledConfig:
         self.access_mask = ((1 << self.n_instr) - 1) & ~self.fence_mask
         self.all_masters_mask = (1 << self.n_masters) - 1
         self.stores_to_addr: tuple[tuple[int, ...], ...] = tuple(map(tuple, stores))
-        self.fences_of_master = tuple(map(tuple, fences))
         self.fence_mask_of_master = tuple(sum(1 << i for i in slots) for slots in fences)
 
         # Per slot, in its issuer's program: the memory accesses before it

@@ -1,10 +1,10 @@
 """Model-checking-based test generation.
 
-``find_trace`` searches the reachable product of machine states and
-fired-event sets for the shortest trace hitting a coverage target,
-``generalize``/``generate_suite`` relax a litmus test into a program class
-and sample platform tests from it, each carrying the complete set of
-allowed register outcomes.
+``find_trace`` runs the explorer's search over machine states paired with
+the mustCover events fired so far, for the shortest trace hitting a
+coverage target; ``generalize``/``generate_suite`` relax a litmus test into
+a program class and sample platform tests from it, each carrying the
+complete set of allowed register outcomes.
 """
 
 from __future__ import annotations
@@ -12,14 +12,14 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from functools import partial
 
-from . import kernel
+from . import explorer, kernel
 from .explorer import (
     DEFAULT_MAX_STATES,
     RegisterMap,
     StateLimitExceeded,
     Trace,
-    _bfs,
     _replay,
     _rf_snapshot,
     explore,
@@ -31,7 +31,7 @@ from .kernel import (
     register_file,
     registers,
     successors,
-    to_descriptor,
+    to_descriptor,  # noqa: F401 - unused here; bench/tracing.py wraps this binding
 )
 from .litmus import (
     And,
@@ -171,17 +171,14 @@ def find_trace(
     """Shortest trace to a state where the goal holds, every load is
     observed, and every mustCover event has fired along the way.
 
-    Search nodes are ints: the packed machine state, with the set of
-    mustCover events fired so far in the bits above it.  The goal is
-    evaluated once per distinct register file.
+    The explorer's search runs over ints: the packed machine state, with
+    the set of mustCover events fired so far in the bits above it.  The
+    goal is evaluated once per distinct trigger key.
     """
     target.validate()
     cc = compile_config(test.config)
     goal_holds = _goal_checker(test, target.goal)
-    goal_seen: dict[int, bool] = {}
-
-    loads_observed = cc.loads_observed
-    rf_shift, rf_mask = cc.rf_shift, cc.rf_mask
+    rf_mask, rf_width = cc.rf_mask, cc.rf_mask.bit_length()
     state_bits = cc.state_bits
     state_mask = (1 << state_bits) - 1
     cover_names = sorted(target.must_cover)
@@ -199,24 +196,20 @@ def find_trace(
             if allowed_codes is None or ev[0] in allowed_codes
         ]
 
-    def done(node: int) -> bool:
-        if node >> state_bits != full or node & loads_observed != loads_observed:
-            return False
-        rf = (node >> rf_shift) & rf_mask
-        hit = goal_seen.get(rf)
-        if hit is None:
-            hit = goal_seen[rf] = goal_holds(rf)
-        return hit
-
-    space = _bfs(cc.initial_state, expand, done, max_states)
+    result, space = explorer._explore_full(
+        test.config,
+        max_states=max_states,
+        name=test.name,
+        stop_predicate=lambda key: key >> rf_width == full and goal_holds(key & rf_mask),
+        expand=expand if cover_bit or target.only_these else partial(successors, cc),
+    )
     if space.stop is None:
-        raise Unreachable(len(space.parents))
-    trace = tuple(to_descriptor(cc, ev) for ev in space.events_to(space.stop))
+        raise Unreachable(result.state_count)
 
     return TestCase(
         name=name or f"{test.name}-target",
         litmus=format_test(test),
-        trace=trace,
+        trace=result.witness,
         expected=_rf_snapshot(cc, register_file(cc, registers(cc, space.stop))),
         target=_target_json(target),
     )

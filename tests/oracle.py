@@ -183,7 +183,7 @@ def check_state_invariants(state: MachineState, config: SystemConfig) -> list[Vi
             bad("inv10", f"rf({m}) holds a value outside the domain")
         # Program-order issuing couples the cursor with issued/issuedfence.
         for x in cc.program_slots[mi]:
-            should = cc.index_of[x] < state.cursor[mi]
+            should = index_of(cc, x) < state.cursor[mi]
             mask = state.issuedfence if cc.kind[x] is InstrKind.FENCE else state.issued
             if bool((mask >> x) & 1) != should:
                 bad("cursor-issue", f"{cc.instrs[x].id} issue flag disagrees with cursor({m})")
@@ -513,17 +513,27 @@ class OrderingReport:
         return all(r.status != "fail" for r in (self.po, self.co, self.hb))
 
 
+def index_of(cc: CompiledConfig, x: int) -> int:
+    """Slot x's 1-based position in its issuer's program."""
+    return cc.instrs[x].index
+
+
+def fences_of_master(cc: CompiledConfig, mi: int) -> list[int]:
+    """The fence slots of master ``mi``, in program order."""
+    return [f for f in cc.fence_slots if cc.issuer_ix[f] == mi]
+
+
 def _sync_ordered(cc: CompiledConfig, x: int, y: int) -> bool:
     """Program-order pairs whose observation order is pinned by a fence or
     an atomic: a fence between them, a release store after, or an acquire
     load before."""
-    if cc.issuer_ix[x] != cc.issuer_ix[y] or cc.index_of[x] >= cc.index_of[y]:
+    if cc.issuer_ix[x] != cc.issuer_ix[y] or index_of(cc, x) >= index_of(cc, y):
         return False
     if cc.kind[y] is InstrKind.SC_REL_STORE or cc.kind[x] is InstrKind.SC_ACQ_LOAD:
         return True
     return any(
-        cc.index_of[x] < cc.index_of[f] < cc.index_of[y]
-        for f in cc.fences_of_master[cc.issuer_ix[x]]
+        index_of(cc, x) < index_of(cc, f) < index_of(cc, y)
+        for f in fences_of_master(cc, cc.issuer_ix[x])
     )
 
 

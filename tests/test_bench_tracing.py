@@ -34,7 +34,7 @@ def test_tracer_records_a_check_and_a_gen(capsys, tmp_path):
     assert tr.calls["kernel.successors"] > 0 and tr.total["kernel.successors"] > 0
     assert tr.calls["cli.main"] == 2 and tr.calls["testgen.find_trace"] == 1
     assert tr.expanded > 0
-    assert tr.probe.states == 166  # the check; gen searches without _explore_full
+    assert tr.probe.states == 3934  # the check's 166 and the gen's 3768
     # Every binding is put back.
     assert explorer.successors is kernel.successors is testgen.successors
     assert explorer._explore_full.__module__ == "memlit.explorer"

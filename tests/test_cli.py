@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import memlit
-from memlit import corpus
+from memlit import corpus, explorer
 from memlit.cli import _build_parser, main
 from memlit.testgen import PairGoal, TestTarget, emit_test, find_trace
 
@@ -284,6 +284,54 @@ class TestFuzz:
         assert stdout == ""
         assert err == "fence-after-first-load needs a maximum length of at least 2\n"
         assert not out.exists()
+
+
+class TestOneSearchPerCommand:
+    """Every command searches through one ``explorer._explore_full`` call."""
+
+    @pytest.fixture()
+    def searches(self, monkeypatch):
+        calls = []
+        real = explorer._explore_full
+
+        def explore_full(*args, **kwargs):
+            calls.append(kwargs.get("name"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(explorer, "_explore_full", explore_full)
+        return calls
+
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            (["check"], 0),
+            (["cover", "--watch", "M2,M3"], 0),
+            (["gen", "--target", "M2:C0,M3:C0"], 0),
+            (["gen", "--target", "M2:C2,M3:C2"], 4),
+            (["gen", "--target", "M2:C0,M3:C0", "--cover-events", "ObserveStoreWithoutFence"], 0),
+            (["gen", "--target", "M2:C0,M3:C0", "--cover-events",
+              "ObserveLoadHappensBeforeWithFence", "--only"], 0),
+            (["gen", "--target", "M2:C0,M3:C0", "--only"], 4),
+        ],
+        ids=["check", "cover", "gen", "gen-unreachable", "gen-cover-events",
+             "gen-cover-events-only", "gen-only"],
+    )
+    def test_one_call(self, capsys, fence_path, searches, args, code):
+        assert run_cli(capsys, args[0], fence_path, *args[1:])[0] == code
+        assert searches == ["iriw-fence"]
+
+    def test_fuzz_one_call_per_explored_sample(self, capsys, fence_path, tmp_path, searches):
+        code, _, _ = run_cli(
+            capsys, "fuzz", fence_path, "--count", "4", "--seed", "1", "--max-len", "2",
+            "--sample-states", "1000", "--out", str(tmp_path),
+        )
+        assert code == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        skipped = [s["skipped"] for s in manifest["samples"]]
+        # The two empty samples are never explored; the state-limit one is.
+        assert skipped == ["state limit", "empty program, not expressible",
+                           "empty program, not expressible", None]
+        assert searches == ["suite-1-0", "suite-1-3"]
 
 
 class TestSuite:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from memlit import testgen
+from memlit import explorer, testgen
 from memlit.explorer import (
     DEFAULT_MAX_STATES,
     ReplayError,
@@ -258,10 +258,14 @@ class TestTracesFromParents:
     )
     def test_find_trace(self, all_corpus, monkeypatch, name, combos, cover, reachable):
         spaces = []
-        real_bfs = testgen._bfs
-        monkeypatch.setattr(
-            testgen, "_bfs", lambda *args: spaces.append(real_bfs(*args)) or spaces[-1]
-        )
+        real = explorer._explore_full
+
+        def explore_full(*args, **kwargs):
+            result, space = real(*args, **kwargs)
+            spaces.append(space)
+            return result, space
+
+        monkeypatch.setattr(explorer, "_explore_full", explore_full)
         t = all_corpus[name]
         target = testgen.TestTarget(testgen.PairGoal(("M2", "M3"), combos), frozenset(cover))
         if not reachable:

@@ -1,14 +1,16 @@
 """Test generation: target search, documents, generalisation, suites."""
 
+import itertools
 import json
 import random
 
 import pytest
 
-from memlit.coverage import cover
+from memlit import kernel
+from memlit.coverage import cover, reg_combos
 from memlit.explorer import explore_test, replay
 from memlit.litmus import LitmusTest, OutcomeMode, RegisterIs, format_test, parse
-from memlit.model import Instruction, InstrKind, SystemConfig
+from memlit.model import Instruction, InstrKind, SystemConfig, compile_config
 from memlit.testgen import (
     InvalidBounds,
     PairGoal,
@@ -23,7 +25,7 @@ from memlit.testgen import (
     verify_test,
 )
 
-from oracle import in_class
+from oracle import edge_bfs, edge_path, in_class
 
 
 def issue_count(trace) -> int:
@@ -181,6 +183,65 @@ class TestPlatformCase:
         for rf in case.allowed:
             assert not all(rf[m][r] == v for m, regs in forbidden.items() for r, v in regs.items())
         assert verify_test(case).ok
+
+
+class TestFindTraceAgainstProductSearch:
+    """``find_trace`` against a product search of its own: ``oracle.edge_bfs``
+    over (packed state, frozenset of fired mustCover codes) nodes, whose
+    expected stop is the first node, in discovery order, that meets the
+    target.  Every pair of combos of the two watched masters is tried."""
+
+    @pytest.mark.parametrize(
+        "name, watched, cover_names, only",
+        [
+            ("iriw-fence", ("M2", "M3"), (), False),
+            ("iriw-nofence", ("M2", "M3"), (), False),
+            ("mp-fence", ("M1", "M2"), (), False),
+            ("iriw-fence-all", ("M2", "M3"),
+             ("ObserveStoreWithFence", "ObserveLoadAfterStoreWithFence"), False),
+            ("mp-relaxed", ("M1", "M2"), ("ObserveLoadWithoutFence",), True),
+        ],
+    )
+    def test_every_pair(self, all_corpus, name, watched, cover_names, only):
+        test = all_corpus[name]
+        cc = compile_config(test.config)
+        codes = frozenset(kernel.EVENT_NAMES.index(n) for n in cover_names)
+        allowed = kernel.ISSUE_CODES | codes
+
+        def expand(node):
+            state, fired = node
+            return [
+                (ev, (nxt, fired | (codes & {ev[0]})))
+                for ev, nxt in kernel.successors(cc, state)
+                if not only or ev[0] in allowed
+            ]
+
+        edges = edge_bfs((cc.initial_state, frozenset()), expand)
+        combos = reg_combos(test.config.registers, test.config.values)
+        # The first node to meet each combo pair, and its register map.
+        first: dict[tuple[int, int], tuple] = {}
+        for node in edges:
+            state, fired = node
+            if fired != codes or state & cc.loads_observed != cc.loads_observed:
+                continue
+            grid = kernel.register_file(cc, kernel.registers(cc, state))
+            regs = {m: dict(zip(cc.reg_names, row)) for m, row in zip(cc.masters, grid)}
+            pair = tuple(combos.index(regs[m]) for m in watched)
+            first.setdefault(pair, (node, regs))
+
+        for pair in itertools.product(range(len(combos)), repeat=2):
+            target = TestTarget(PairGoal(watched, pair), frozenset(cover_names), only)
+            if pair not in first:
+                with pytest.raises(Unreachable) as err:
+                    find_trace(test, target)
+                assert err.value.states_explored == len(edges), pair
+                continue
+            node, regs = first[pair]
+            case = find_trace(test, target)
+            events = edge_path(edges, node)
+            assert case.trace == tuple(kernel.to_descriptor(cc, ev) for ev in events), pair
+            assert case.expected == regs, pair
+        assert len(combos) == 4 and first
 
 
 class TestWitness:
