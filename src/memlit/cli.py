@@ -146,6 +146,8 @@ def _run_gen(args: argparse.Namespace) -> int:
     unknown = must_cover - set(EVENT_NAMES)
     if unknown:
         raise _CliError(EXIT_USAGE, f"unknown events in --cover-events: {sorted(unknown)}")
+    if args.only and not must_cover:
+        raise _CliError(EXIT_USAGE, "--only needs --cover-events")
     target = TestTarget(goal=goal, must_cover=must_cover, only_these=args.only)
     try:
         tc = testgen.find_trace(test, target, max_states=args.max_states)

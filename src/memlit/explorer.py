@@ -1,10 +1,11 @@
 """Exhaustive interleaving exploration, outcome verdicts and replay.
 
-``_explore_full`` is the package's one breadth-first search, with
-packed-state deduplication, so every trace is shortest: ``explore``,
-``check_outcome`` and ``testgen.find_trace`` each run it once.
-``check_outcome`` evaluates a litmus test's outcome invariant at every
-reachable state; it triggers once every load has been observed.
+``_explore_full`` is the package's one breadth-first search: ``explore``,
+``check_outcome`` and ``testgen.find_trace`` each run it once.  It dedupes
+packed states, so every trace is shortest, and expands each layer with the
+configuration's generated ``kernel.search_layer``.  ``check_outcome``
+evaluates a litmus test's outcome invariant at every reachable state; it
+triggers once every load has been observed.
 """
 
 from __future__ import annotations
@@ -143,8 +144,9 @@ class _Space:
     whose successor is the child: the event the search took."""
 
     parents: dict  # node -> the node that first reached it, root -> None
-    expand: Callable  # the search's own expansion, re-run by ``events_to``
+    expand: Callable  # the search's edges as (event, successor) pairs, for ``events_to``
     finals: list  # nodes without successors, in discovery order
+    triggers: dict  # trigger key -> the first node with it, in discovery order
     stop: int | None  # the node the stop predicate stopped the search at
 
     def events_to(self, node) -> list[InternalEvent]:
@@ -166,70 +168,49 @@ def _explore_full(
     name: str,
     stop_predicate,
     expand=None,
+    cover: tuple[tuple[int, int], ...] = (),
+    only: bool = False,
 ) -> tuple[ExplorationResult, _Space]:
     """The one breadth-first search: exploration, verdicts and trace
     generation all run it.
 
-    Nodes are packed states of ``config``, with any bits ``expand`` sets
-    above ``cc.state_bits`` (``find_trace``'s fired mustCover events).
-    ``expand(node)`` lists (internal event, successor) pairs in a fixed
-    order; None means ``partial(successors, cc)``.  A trigger node has
-    every load observed; its key is its rf field (``kernel.registers``)
-    with the bits above the state above that.  ``stop_predicate``, if
-    given, sees each new trigger key and stops the search at the first
-    for which it returns True; the witness then leads there.  Raises
-    ``StateLimitExceeded`` once more than ``max_states`` nodes are reached.
+    Each BFS layer is one call of ``kernel.search_layer(cc, cover, only)``,
+    whose nodes carry ``cover``'s bits (``find_trace``'s fired mustCover
+    events) above the state.  ``expand(node)``, None meaning ``partial(
+    successors, cc)``, lists the same edges for traces.  A trigger node has
+    every load observed; its key is its rf field with the bits above the
+    state above that.  ``stop_predicate``, if given, sees each new trigger
+    key and stops the search at the first for which it returns True; the
+    witness then leads there.  Raises ``StateLimitExceeded`` once more than
+    ``max_states`` nodes are reached.
     """
     cc = compile_config(config)
     expand = expand or partial(successors, cc)
-    loads_observed, state_bits = cc.loads_observed, cc.state_bits
-    rf_shift, rf_mask = cc.rf_shift, cc.rf_mask
-    rf_width = rf_mask.bit_length()
-    # Trigger keys, each with the first node that reached it.
-    triggers: dict[int, int] = {}
-
-    def visit(p: int) -> bool:
-        """Trigger bookkeeping; True stops the search here."""
-        if p & loads_observed != loads_observed:
-            return False
-        key = (p >> rf_shift) & rf_mask | (p >> state_bits) << rf_width
-        if key in triggers:
-            return False
-        triggers[key] = p
-        return stop_predicate is not None and stop_predicate(key)
+    layer = kernel.search_layer(cc, cover, only)
+    stop_at = stop_predicate or (lambda key: False)
 
     root = cc.initial_state
+    triggers: dict[int, int] = {}
+    if root & cc.loads_observed == cc.loads_observed:
+        triggers[registers(cc, root)] = root
+    stop = root if triggers and stop_at(registers(cc, root)) else None
     parents: dict = {root: None}
-    finals = []
+    finals: list = []
     tally = [0] * len(kernel.EVENT_NAMES)
-    transitions = depth = 0
+    depth = 0
     frontier = [root]
     with _gc_paused():
-        stop = root if visit(root) else None
         while frontier and stop is None:
-            next_frontier = []
-            for node in frontier:
-                succ = expand(node)
-                if not succ:
-                    finals.append(node)
-                    continue
-                transitions += len(succ)
-                for ev, nxt in succ:
-                    tally[ev[0]] += 1
-                    if nxt in parents:
-                        continue
-                    parents[nxt] = node
-                    if len(parents) > max_states:
-                        raise StateLimitExceeded(max_states, depth, len(frontier))
-                    if visit(nxt):
-                        stop = nxt
-                        break
-                    next_frontier.append(nxt)
-                if stop is not None:
-                    break
-            frontier = next_frontier
+            frontier, halt = layer(frontier, parents, finals, triggers, stop_at, max_states,
+                                   StateLimitExceeded, depth, tally, cc)
+            stop = halt or None
             depth += 1
-    space = _Space(parents, expand, finals, stop)
+        transitions = sum(tally)
+        if stop is not None and parents[stop] is not None:
+            # The layer stopped inside the parent's edges; count the rest.
+            reached = [nxt for _, nxt in expand(parents[stop])]
+            transitions += len(reached) - 1 - reached.index(stop)
+    space = _Space(parents, expand, finals, triggers, stop)
     end = stop if stop_predicate is not None else next(iter(triggers.values()), None)
 
     result = ExplorationResult(
@@ -238,7 +219,7 @@ def _explore_full(
         transition_count=transitions,
         final_register_maps=frozenset(register_file(cc, registers(cc, p)) for p in finals),
         event_tally={kernel.EVENT_NAMES[i]: n for i, n in enumerate(tally)},
-        trigger_register_maps=frozenset(register_file(cc, key & rf_mask) for key in triggers),
+        trigger_register_maps=frozenset(register_file(cc, key & cc.rf_mask) for key in triggers),
         compiled=cc,
         witness=space.trace_to(cc, end) if end is not None else None,
     )

@@ -20,13 +20,14 @@ the WithoutFence rules before that.  Loads of addresses nothing stores to
 are observed through the before-store rules with the witness omitted.
 
 For one event instance each guard compiles to state masks (see
-``Guard``).  The search runs from a table of every instance that some
-state of a configuration may enable, built on its first search and kept
-on the ``CompiledConfig``: each row holds the conjunction of its guards'
-masks, its event tuple and the successor's action, so ``successors`` is
-one loop over the table.  Static guards (kind, issuer, witness address)
-rule instances out as the table is built, and the atomic order is the
-only guard read from the state per call.
+``Guard``).  A table of every instance that some state of a configuration
+may enable is built on first use and kept on the ``CompiledConfig``: each
+row holds the conjunction of its guards' masks, its event tuple and the
+successor's action.  Static guards (kind, issuer, witness address) rule
+instances out as it is built, and the atomic order is the only guard read
+from the state.  The search runs on ``search_layer``, a function generated
+from the table that expands a whole BFS layer with each row inlined in
+integers; ``successors`` lists one state's edges, for traces.
 """
 
 from __future__ import annotations
@@ -526,30 +527,17 @@ def _event_table(cc: CompiledConfig) -> tuple:
 def successors(cc: CompiledConfig, p: int) -> list[tuple[InternalEvent, int]]:
     """Enabled events of packed state p with their packed successors, in
     search order.  Exact on reachable states.  Each event is the table's
-    own tuple, shared by every state that enables it."""
-    table = cc.event_table
-    if table is None:
-        table = cc.event_table = _event_table(cc)
-    value_mask = cc.value_mask
-    out = []
-    for group_need, group_forbid, rows in table:
-        if p & group_need != group_need or p & group_forbid:
-            continue
-        for need, forbid, ev, clear, set_, src, dst, atomic in rows:
-            if p & need != need or p & forbid:
-                continue
-            q = (p & clear) | set_
-            if dst:
-                q |= ((p >> src) & value_mask) << dst
-            if atomic is not None:
-                field, shift, reads = atomic
-                _, x, m, f, s = ev
-                if not all([read(cc, p, x, m, f, s) for read in reads]):
-                    continue
-                if shift and not p & field:
-                    q |= _next_rank(cc, p) << shift
-            out.append((ev, q))
-    return out
+    own tuple, shared by every state that enables it.  The search runs on
+    ``search_layer``; traces re-expand parents with this."""
+    cc.event_table = cc.event_table or _event_table(cc)
+    return [
+        (ev, apply_event(cc, p, ev))
+        for group_need, group_forbid, rows in cc.event_table
+        if p & group_need == group_need and not p & group_forbid
+        for need, forbid, ev, *_, atomic in rows
+        if p & need == need and not p & forbid
+        and (atomic is None or all([read(cc, p, *ev[1:]) for read in atomic[2]]))
+    ]
 
 
 def iter_candidate_events(cc: CompiledConfig, p: int) -> Iterator[InternalEvent]:
@@ -557,6 +545,96 @@ def iter_candidate_events(cc: CompiledConfig, p: int) -> Iterator[InternalEvent]
     events of ``successors``, with no second enumerator behind them.  The
     benchmark's tracer (``bench/tracing.py``) patches this name."""
     return (ev for ev, _ in successors(cc, p))
+
+
+# ---------------------------------------------------------------------------
+# The generated search layer
+# ---------------------------------------------------------------------------
+
+# The guards read from the state, bound as read0, read1, ... for a layer.
+_READS = tuple(dict.fromkeys([g.read for rule in RULES for g in rule if g.read]))
+
+# A layer's source: {rows} holds the table's tests and edges, and _NEW the
+# bookkeeping of an edge's successor q.  t<code> tallies the edges.
+_LAYER = """\
+def layer(frontier, parents, finals, triggers, stop, limit, exceeded, depth, tally, cc):
+    {zero} = halt = 0
+    out, final = [], finals.append
+    append = out.append
+    for p in frontier:
+        e = 0
+{rows}
+        if not e:
+            final(p)
+{count}    return out, halt
+"""
+_NEW = """\
+if q not in parents:
+    parents[q] = p
+    if len(parents) > limit:
+        raise exceeded(limit, depth, len(frontier))
+    if q & {lo} == {lo}:
+        k = ((q >> {rs}) & {rm}) | ((q >> {sb}) << {rw})
+        if k not in triggers:
+            triggers[k] = q
+            if stop(k):
+                halt = q
+                break
+    append(q)"""
+
+
+def layer_source(cc: CompiledConfig, cover: tuple[tuple[int, int], ...] = (),
+                 only: bool = False) -> str:
+    """The source of cc's ``layer``, written in cc's integers: no name or
+    text of the configuration enters it.  ``cover`` pairs event codes with
+    bits above ``cc.state_bits`` that their edges also set, and ``only``
+    drops the observations ``cover`` does not name."""
+    bits = dict(cover)
+    new = _NEW.format(lo=cc.loads_observed, rs=cc.rf_shift, rm=cc.rf_mask,
+                      sb=cc.state_bits, rw=cc.rf_mask.bit_length()).splitlines()
+    rows: list[str] = []
+
+    def gate(depth: int, need: int, forbid: int, *reads: str) -> int:
+        tests = [f"p & {need} == {need}"] * bool(need) + [f"not p & {forbid}"] * bool(forbid)
+        tests += reads
+        rows.extend(["    " * depth + f"if {' and '.join(tests)}:"] * bool(tests))
+        return depth + bool(tests)
+
+    cc.event_table = cc.event_table or _event_table(cc)
+    for group_need, group_forbid, group in cc.event_table:
+        group = [row for row in group if not only or row[2][0] in ISSUE_CODES or row[2][0] in bits]
+        at_group = gate(2, group_need, group_forbid) if group else 0
+        for need, forbid, (code, x, m, f, s), clear, set_, src, dst, atomic in group:
+            reads = atomic[2] if atomic else ()
+            depth = gate(at_group, need, forbid,
+                         *[f"read{_READS.index(r)}(cc, p, {x}, {m}, {f}, {s})" for r in reads])
+            q = "p" if clear == -1 else f"(p & {clear})"
+            lines = ["e = 1", f"t{code} += 1", f"q = {q} | {set_ | bits.get(code, 0)}"]
+            if dst:
+                lines.append(f"q |= ((p >> {src}) & {cc.value_mask}) << {dst}")
+            if atomic and atomic[1]:
+                lines += [f"if not p & {atomic[0]}:", f"    q |= next_rank(cc, p) << {atomic[1]}"]
+            # An edge that observes no load and fires no mustCover event keeps its node's key.
+            tail = new if set_ & cc.loads_observed or code in bits else new[:4] + new[-1:]
+            rows += ["    " * depth + line for line in lines + tail]
+    codes = range(len(EVENT_NAMES))
+    return _LAYER.format(zero=" = ".join([f"t{c}" for c in codes]), rows="\n".join(rows),
+                         count="".join([f"    tally[{c}] += t{c}\n" for c in codes]))
+
+
+def search_layer(cc: CompiledConfig, cover: tuple[tuple[int, int], ...] = (),
+                 only: bool = False) -> Callable:
+    """cc's ``layer``, compiled from ``layer_source`` on first use and kept
+    on cc.  It expands a frontier's nodes, each edge in ``successors``
+    order, and returns the new nodes and the node it stopped at, or 0."""
+    layer = cc.search_layers.get((cover, only))
+    if layer is None:
+        namespace = {"__builtins__": {"len": len}, "next_rank": _next_rank,
+                     **{f"read{i}": read for i, read in enumerate(_READS)}}
+        exec(layer_source(cc, cover, only), namespace)
+        # Popped, or the function and its namespace would form a cycle.
+        layer = cc.search_layers[cover, only] = namespace.pop("layer")
+    return layer
 
 
 # ---------------------------------------------------------------------------

@@ -370,8 +370,8 @@ class CompiledConfig:
         for row, shifts in zip(self.initial_lov, lov_shift):
             for v, sh in zip(row, shifts):
                 self.initial_state |= index[v] << sh
-        # The kernel's table of event instances, built on the first search.
-        self.event_table = None
+        # The kernel's event table and search layers, built on first use.
+        self.event_table, self.search_layers = None, {}
 
     def slot(self, instr_id: str) -> int:
         try:

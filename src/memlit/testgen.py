@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from functools import partial
 
 from . import explorer, kernel
 from .explorer import (
@@ -184,9 +183,7 @@ def find_trace(
     cover_names = sorted(target.must_cover)
     cover_bit = {EVENT_NAMES.index(n): 1 << (state_bits + i) for i, n in enumerate(cover_names)}
     full = (1 << len(cover_names)) - 1
-    allowed_codes = None
-    if target.only_these:
-        allowed_codes = set(kernel.ISSUE_CODES) | set(cover_bit)
+    allowed_codes = set(kernel.ISSUE_CODES) | set(cover_bit) if target.only_these else None
 
     def expand(node: int) -> list:
         fired = node & ~state_mask
@@ -201,7 +198,9 @@ def find_trace(
         max_states=max_states,
         name=test.name,
         stop_predicate=lambda key: key >> rf_width == full and goal_holds(key & rf_mask),
-        expand=expand if cover_bit or target.only_these else partial(successors, cc),
+        expand=expand,
+        cover=tuple(sorted(cover_bit.items())),
+        only=target.only_these,
     )
     if space.stop is None:
         raise Unreachable(result.state_count)

@@ -7,7 +7,8 @@ recursion, load values by a per-master fold over raw event sequences, the
 sequentially consistent outcomes by an interpreter without the kernel,
 program order, coherence and happens-before by a checker over raw traces, and
 membership of a fuzz program class by its definition rather than its sampler,
-and litmus tokens by the character loop the tokenizer replaced.
+litmus tokens by the character loop the tokenizer replaced, and the search
+by the loop over ``successors`` edges that the generated layers replaced.
 
 The package's machine state is the packed int; ``MachineState`` is only the
 view ``replay`` returns.  The toolkit converts at that boundary: ``pack``
@@ -20,15 +21,25 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 
 from memlit import kernel
-from memlit.explorer import ReplayError, Trace
+from memlit.explorer import (
+    ExplorationResult,
+    ReplayError,
+    StateLimitExceeded,
+    Trace,
+    _gc_paused,
+    _Space,
+)
 from memlit.kernel import (
     EventDescriptor,
     GuardFailed,
     InstrKind,
     MachineState,
     apply_event,
+    register_file,
+    registers,
     successors,
     to_descriptor,
     to_internal,
@@ -694,3 +705,84 @@ def reference_tokenize(text: str) -> list[_Token]:
         raise ParseError(line, col, f"unexpected character {ch!r}")
     toks.append(_Token("eof", "", line, col))
     return toks
+
+
+# ---------------------------------------------------------------------------
+# The breadth-first search as one loop over ``successors`` edges, kept
+# verbatim as the reference the generated search layers are compared against.
+# ---------------------------------------------------------------------------
+
+def reference_explore_full(
+    config: SystemConfig,
+    *,
+    max_states: int,
+    name: str,
+    stop_predicate,
+    expand=None,
+) -> tuple[ExplorationResult, _Space]:
+    """``explorer._explore_full`` with its search written as a loop over
+    the (event, successor) pairs of ``expand(node)``, None meaning
+    ``partial(successors, cc)``."""
+    cc = compile_config(config)
+    expand = expand or partial(successors, cc)
+    loads_observed, state_bits = cc.loads_observed, cc.state_bits
+    rf_shift, rf_mask = cc.rf_shift, cc.rf_mask
+    rf_width = rf_mask.bit_length()
+    # Trigger keys, each with the first node that reached it.
+    triggers: dict[int, int] = {}
+
+    def visit(p: int) -> bool:
+        """Trigger bookkeeping; True stops the search here."""
+        if p & loads_observed != loads_observed:
+            return False
+        key = (p >> rf_shift) & rf_mask | (p >> state_bits) << rf_width
+        if key in triggers:
+            return False
+        triggers[key] = p
+        return stop_predicate is not None and stop_predicate(key)
+
+    root = cc.initial_state
+    parents: dict = {root: None}
+    finals = []
+    tally = [0] * len(kernel.EVENT_NAMES)
+    transitions = depth = 0
+    frontier = [root]
+    with _gc_paused():
+        stop = root if visit(root) else None
+        while frontier and stop is None:
+            next_frontier = []
+            for node in frontier:
+                succ = expand(node)
+                if not succ:
+                    finals.append(node)
+                    continue
+                transitions += len(succ)
+                for ev, nxt in succ:
+                    tally[ev[0]] += 1
+                    if nxt in parents:
+                        continue
+                    parents[nxt] = node
+                    if len(parents) > max_states:
+                        raise StateLimitExceeded(max_states, depth, len(frontier))
+                    if visit(nxt):
+                        stop = nxt
+                        break
+                    next_frontier.append(nxt)
+                if stop is not None:
+                    break
+            frontier = next_frontier
+            depth += 1
+    space = _Space(parents, expand, finals, triggers, stop)
+    end = stop if stop_predicate is not None else next(iter(triggers.values()), None)
+
+    result = ExplorationResult(
+        name=name,
+        state_count=len(parents),
+        transition_count=transitions,
+        final_register_maps=frozenset(register_file(cc, registers(cc, p)) for p in finals),
+        event_tally={kernel.EVENT_NAMES[i]: n for i, n in enumerate(tally)},
+        trigger_register_maps=frozenset(register_file(cc, key & rf_mask) for key in triggers),
+        compiled=cc,
+        witness=space.trace_to(cc, end) if end is not None else None,
+    )
+    return result, space

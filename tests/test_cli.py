@@ -311,14 +311,24 @@ class TestOneSearchPerCommand:
             (["gen", "--target", "M2:C0,M3:C0", "--cover-events", "ObserveStoreWithoutFence"], 0),
             (["gen", "--target", "M2:C0,M3:C0", "--cover-events",
               "ObserveLoadHappensBeforeWithFence", "--only"], 0),
-            (["gen", "--target", "M2:C0,M3:C0", "--only"], 4),
         ],
         ids=["check", "cover", "gen", "gen-unreachable", "gen-cover-events",
-             "gen-cover-events-only", "gen-only"],
+             "gen-cover-events-only"],
     )
     def test_one_call(self, capsys, fence_path, searches, args, code):
         assert run_cli(capsys, args[0], fence_path, *args[1:])[0] == code
         assert searches == ["iriw-fence"]
+
+    @pytest.mark.parametrize("cover", [[], ["--cover-events", ""]], ids=["absent", "empty"])
+    def test_gen_only_without_cover_events_is_a_usage_error(
+        self, capsys, fence_path, searches, cover
+    ):
+        # With no mustCover event, --only would allow issue events alone.
+        code, out, err = run_cli(
+            capsys, "gen", fence_path, "--target", "M2:C0,M3:C0", "--only", *cover
+        )
+        assert (code, out, err) == (2, "", "--only needs --cover-events\n")
+        assert searches == []
 
     def test_fuzz_one_call_per_explored_sample(self, capsys, fence_path, tmp_path, searches):
         code, _, _ = run_cli(
