@@ -8,8 +8,10 @@ Every event is a (name, parameter binding) pair; guards gate enabledness
 and actions build the successor.  Masks are over instruction slots /
 master indices of the compiled configuration.
 
-The thirteen transition rules are named in ``EVENT_NAMES``; their guards
-are declared once, as data, in ``RULES``.  The five Issue rules issue the
+The thirteen transition rules are named in ``EVENT_NAMES``; their
+parameters and guards are declared once, as data, in ``PARAMS`` and
+``RULES``, and the event table, the staged enumeration and the event
+descriptors read them from there.  The five Issue rules issue the
 next instruction of a master in program order.  The Observe rules make an
 access visible to a master m: a store sets m's last-observed value for its
 address, and a load, observed by its issuer, copies that value into its
@@ -212,7 +214,7 @@ class Guard(NamedTuple):
 
     ``text`` says what must hold, with ``{x}``, ``{m}``, ``{f}`` and ``{s}``
     standing for the event's instruction, master, fence and witness store;
-    the placeholders a rule's texts name are the parameters it binds.
+    a text names only parameters its rule binds (see ``PARAMS``).
     ``mask(cc, x, m, f, s)`` compiles the guard for one event instance: None
     if it can never hold, else its (need, forbid) masks.  A static guard
     (kind, issuer, witness address) compiles to None or ``(0, 0)``.  The
@@ -246,25 +248,42 @@ def _next_in_program(cc: CompiledConfig, x: int, m: int, f: int, s: int) -> Mask
     return cc.program_mask[cc.issuer_ix[x]] & ((1 << x) - 1), 1 << x
 
 
+def accesses_before(cc: CompiledConfig, x: int) -> int:
+    """The slot mask of the accesses before x in its issuer's program; for
+    a fence these are the accesses ahead of it.  Static: masters issue in
+    program order, and positions never move."""
+    return cc.program_mask[cc.issuer_ix[x]] & cc.access_mask & ((1 << x) - 1)
+
+
+def _slots(mask: int) -> list[int]:
+    return [a for a in range(mask.bit_length()) if mask >> a & 1]
+
+
 def _po_fence(cc: CompiledConfig, x: int, m: int, f: int, s: int) -> Masks:
     # If x is not ahead of f, every issued access ahead of f must already
     # be observed by the observing master.  Issue follows program order,
     # so once f is issued every access ahead of it is.
-    return _FREE if (cc.ahead_mask[f] >> x) & 1 else (cc.ahead_obs[f][m], 0)
+    ahead = accesses_before(cc, f)
+    return _FREE if ahead >> x & 1 else (sum([cc.obs_bit[a][m] for a in _slots(ahead)]), 0)
 
 
 def _acq_preds_observed(cc: CompiledConfig, x: int, m: int, f: int, s: int) -> Masks:
     # An acquire load blocks observation of everything behind it in its
     # issuer's program until the issuer, its only observer, has observed it.
-    return sum([cc.obs_bit[a][cc.issuer_ix[a]] for a in cc.acq_pred_slots[x]]), 0
+    i = cc.issuer_ix[x]
+    return sum([
+        cc.obs_bit[a][i] for a in _slots(accesses_before(cc, x))
+        if cc.kind[a] is InstrKind.SC_ACQ_LOAD
+    ]), 0
 
 
 def _preds_visible(cc: CompiledConfig, x: int, m: int, f: int, s: int) -> Masks:
     # Release: every program-order predecessor access must be visible to
     # the observer before the release store is.  Only its issuer observes
     # a load, so an earlier load need only be performed.
+    i = cc.issuer_ix[x]
     return sum([
-        cc.obs_bit[a][cc.issuer_ix[a] if cc.is_load[a] else m] for a in cc.pred_access_slots[x]
+        cc.obs_bit[a][i if cc.is_load[a] else m] for a in _slots(accesses_before(cc, x))
     ]), 0
 
 
@@ -293,7 +312,7 @@ _UNSEEN = Guard("{m} has not observed {x}", lambda cc, x, m, f, s: (0, cc.obs_bi
 _BY_OBSERVER = _static("{m} issued {x}", lambda cc, x, m, f, s: cc.issuer_ix[x] == m)
 _NO_FENCE = Guard(
     "the issuer of {x} has issued no fence",
-    lambda cc, x, m, f, s: (0, cc.fence_mask_of_master[cc.issuer_ix[x]]),
+    lambda cc, x, m, f, s: (0, cc.program_mask[cc.issuer_ix[x]] & cc.fence_mask),
 )
 _FENCED = (
     Guard("{f} is an issued fence",
@@ -329,6 +348,23 @@ _AFTER_WITNESS = (
 )
 _NO_LOAD_AFTER = Guard("no load is observed after {s} yet",
                        lambda cc, x, m, f, s: (0, cc.after_field[s] if s >= 0 else 0))
+
+# The parameters of every transition rule, indexed by event code, as an
+# Event-B event's ANY clause declares them: the event descriptor's field
+# that names the instruction x, and the parameters the rule binds among
+# m, f and s.  A before-store load observation may leave s absent.
+PARAMS: tuple[tuple[str, str], ...] = (
+    # IssueStore, IssueLoad, IssueFence, IssueScRelStore, IssueScAcqLoad
+    ("s", ""), ("l", ""), ("f", ""), ("s", ""), ("l", ""),
+    # ObserveStoreWithFence, ObserveStoreWithoutFence
+    ("s", "mf"), ("s", "m"),
+    # ObserveLoadHappensBeforeWithFence, ObserveLoadAfterStoreWithFence
+    ("l", "mfs"), ("l", "mfs"),
+    # ObserveLoadWithoutFence, ObserveLoadAfterStoreWithoutFence
+    ("l", "ms"), ("l", "ms"),
+    # ObserveScRelStore, ObserveScAcqLoad
+    ("s", "m"), ("l", "m"),
+)
 
 # The guards of every transition rule, indexed by event code.  A guard's
 # Event-B id ``grdN`` is its position N in its rule, counting from 1.
@@ -435,16 +471,14 @@ _PHASES = (
     (OBS_SC_ACQ_LOAD,),
 )
 
-# Per rule and parameter of x, m, f and s: whether the rule binds it, and
-# the guards with a mask whose text names it last among the four.  A
-# guard's text names every parameter it reads, so once the parameters up
-# to one are bound, that one's guards can rule the instance out.  A mask
-# may assume the guards before it in its rule that name no later
-# parameter than it does.
+# Per rule and parameter of x, m, f and s: whether the rule binds it
+# (``PARAMS``), and the guards with a mask whose text names it last among
+# the four.  A guard's text names every parameter it reads, so once the
+# parameters up to one are bound, that one's guards can rule the instance
+# out.  A mask may assume the guards before it in its rule that name no
+# later parameter than it does.
 _PARAMS = "xmfs"
-_BINDS = tuple(
-    tuple(f"{{{p}}}" in " ".join(g.text for g in rule) for p in _PARAMS) for rule in RULES
-)
+_BINDS = tuple(tuple(p in "x" + binds for p in _PARAMS) for _, binds in PARAMS)
 _STAGES = tuple(
     tuple(
         tuple(g for g in rule if g.mask and max(
@@ -642,63 +676,50 @@ def search_layer(cc: CompiledConfig, cover: tuple[tuple[int, int], ...] = (),
 # ---------------------------------------------------------------------------
 
 def to_descriptor(cc: CompiledConfig, ev: InternalEvent) -> EventDescriptor:
+    """The descriptor of ev: x under its rule's field, then the parameters
+    the rule binds, each by id (an absent one is left out)."""
     code, x, m, f, s = ev
-    name = EVENT_NAMES[code]
-    instr = cc.instrs
-    if code in ISSUE_CODES:
-        ins = instr[x]
-        if code == ISSUE_FENCE:
-            return EventDescriptor(name=name, f=ins.id)
-        if code in (ISSUE_STORE, ISSUE_SC_REL_STORE):
-            return EventDescriptor(name=name, s=ins.id)
-        return EventDescriptor(name=name, l=ins.id)
-    master = cc.masters[m]
-    if code in (OBS_STORE_WOF, OBS_STORE_WF, OBS_SC_REL_STORE):
-        return EventDescriptor(
-            name=name, s=instr[x].id, m=master, f=instr[f].id if f >= 0 else None
-        )
-    return EventDescriptor(
-        name=name,
-        l=instr[x].id,
-        m=master,
-        f=instr[f].id if f >= 0 else None,
-        s=instr[s].id if s >= 0 else None,
-    )
+    field, binds = PARAMS[code]
+
+    def instr(y: int) -> str | None:
+        return cc.instrs[y].id if y >= 0 else None
+
+    ids = {"m": cc.masters[m] if m >= 0 else None, "f": instr(f), "s": instr(s), field: instr(x)}
+    return EventDescriptor(EVENT_NAMES[code], **{p: ids[p] for p in field + binds})
 
 
 def to_internal(cc: CompiledConfig, ev: EventDescriptor) -> InternalEvent:
-    if ev.name not in EVENT_CODE:
-        raise GuardFailed(ev.name, "grd0", "unknown event name")
-    code = EVENT_CODE[ev.name]
+    """The internal event ``ev`` names, read by ``PARAMS``; GuardFailed
+    grd0 if it names no rule, an unknown id, or no x or m.  The issue of
+    an access may name it by s, else l, and reads no other field.  An
+    observation keeps each other instruction field it names, bound or
+    not: no guard or action reads a field its rule does not bind."""
 
-    def islot(instr_id: str | None) -> int:
-        if instr_id is None:
-            return -1
-        try:
-            return cc.slot(instr_id)
-        except KeyError:
-            raise GuardFailed(ev.name, "grd0", f"unknown instruction {instr_id!r}") from None
+    def lookup(table: dict, key, detail: str) -> int:
+        try:  # a JSON list or object is unhashable: it names nothing
+            return table[key]
+        except (KeyError, TypeError):
+            raise GuardFailed(ev.name, "grd0", detail) from None
 
-    def midx(master: str | None) -> int:
-        if master is None:
-            raise GuardFailed(ev.name, "grd0", "missing master parameter")
-        try:
-            return cc.master_index[master]
-        except KeyError:
-            raise GuardFailed(ev.name, "grd0", f"unknown master {master!r}") from None
+    def slot(i) -> int:
+        return -1 if i is None else lookup(cc.slot_of, i, f"unknown instruction {i!r}")
 
-    if code in ISSUE_CODES:
-        target = ev.f if code == ISSUE_FENCE else (ev.s if ev.s is not None else ev.l)
+    code = lookup(EVENT_CODE, ev.name, "unknown event name")
+    field, binds = PARAMS[code]
+    if not binds:
+        target = ev.f if field == "f" else ev.l if ev.s is None else ev.s
         if target is None:
             raise GuardFailed(ev.name, "grd0", "missing instruction parameter")
-        return (code, islot(target), -1, -1, -1)
-    if code in (OBS_STORE_WOF, OBS_STORE_WF, OBS_SC_REL_STORE):
-        if ev.s is None:
-            raise GuardFailed(ev.name, "grd0", "missing store parameter")
-        return (code, islot(ev.s), midx(ev.m), islot(ev.f), -1)
-    if ev.l is None:
-        raise GuardFailed(ev.name, "grd0", "missing load parameter")
-    return (code, islot(ev.l), midx(ev.m), islot(ev.f), islot(ev.s))
+        return code, slot(target), -1, -1, -1
+    target = getattr(ev, field)
+    if target is None:
+        what = "store" if field == "s" else "load"
+        raise GuardFailed(ev.name, "grd0", f"missing {what} parameter")
+    x = slot(target)
+    if ev.m is None:
+        raise GuardFailed(ev.name, "grd0", "missing master parameter")
+    m = lookup(cc.master_index, ev.m, f"unknown master {ev.m!r}")
+    return code, x, m, slot(ev.f), -1 if field == "s" else slot(ev.s)
 
 
 def step(cc: CompiledConfig, p: int, ev: EventDescriptor) -> int:

@@ -1,8 +1,9 @@
 """Instructions, system configurations and their compiled (index-based) form.
 
 A configuration fixes a finite universe of masters, programs, addresses,
-registers and values.  All transition semantics live in ``kernel``; this
-module only validates and indexes the static data.
+registers and values.  All transition semantics live in ``kernel``, the
+program-order sets its guards read included; this module only validates
+the static data, indexes it and lays out the packed machine state.
 """
 
 from __future__ import annotations
@@ -179,12 +180,14 @@ class SystemConfig:
 
 
 class CompiledConfig:
-    """Index-based tables for one SystemConfig.
+    """The static indices and the packed-state layout of one SystemConfig.
 
     Instructions get dense slots (program order, master by master), masters,
     addresses and registers get dense indices; the kernel operates on these
     exclusively.  Bit positions in instruction masks are slots, in master
-    masks master indices.
+    masks master indices.  No table here serves one guard: each guard
+    derives what it reads from ``program_mask``, ``access_mask`` and
+    ``fence_mask``.
     """
 
     def __init__(self, config: SystemConfig):
@@ -221,13 +224,9 @@ class CompiledConfig:
         slots_of_kind: dict[InstrKind, list[int]] = {kind: [] for kind in InstrKind}
         # Stores (either kind) per address: witness candidates for loads.
         stores: list[list[int]] = [[] for _ in self.addr_names]
-        # Per master: fence slots, for a flag mask of that master's fences.
-        fences: list[list[int]] = [[] for _ in config.masters]
         for i, kind in enumerate(self.kind):
             slots_of_kind[kind].append(i)
-            if kind is InstrKind.FENCE:
-                fences[self.issuer_ix[i]].append(i)
-            elif self.value_of[i] >= 0:
+            if self.value_of[i] >= 0:
                 stores[self.addr_ix[i]].append(i)
         self.plain_load_slots = slots_of_kind[InstrKind.LOAD]
         self.rel_store_slots = slots_of_kind[InstrKind.SC_REL_STORE]
@@ -237,35 +236,10 @@ class CompiledConfig:
         self.access_mask = ((1 << self.n_instr) - 1) & ~self.fence_mask
         self.all_masters_mask = (1 << self.n_masters) - 1
         self.stores_to_addr: tuple[tuple[int, ...], ...] = tuple(map(tuple, stores))
-        self.fence_mask_of_master = tuple(sum(1 << i for i in slots) for slots in fences)
-
-        # Per slot, in its issuer's program: the memory accesses before it
-        # (release-store guard; for a fence f these are ahead(f)), and the
-        # acquire loads before it (an acquire blocks later accesses until
-        # its issuer observes it).  Static: masters issue in program order,
-        # positions never move.
-        pred_access: list[tuple[int, ...]] = [()] * self.n_instr
-        acq_pred: list[tuple[int, ...]] = [()] * self.n_instr
-        for slots in self.program_slots:
-            accesses: tuple[int, ...] = ()
-            acquires: tuple[int, ...] = ()
-            for x in slots:
-                pred_access[x], acq_pred[x] = accesses, acquires
-                if self.kind[x] is not InstrKind.FENCE:
-                    accesses += (x,)
-                if self.kind[x] is InstrKind.SC_ACQ_LOAD:
-                    acquires += (x,)
-        self.pred_access_slots = tuple(pred_access)
-        self.acq_pred_slots = tuple(acq_pred)
-        self.ahead_mask = tuple(
-            sum(1 << a for a in preds) if kind is InstrKind.FENCE else 0
-            for kind, preds in zip(self.kind, pred_access)
-        )
 
         initial = dict(config.initial_memory)
         self.initial_lov = (tuple(initial[a] for a in self.addr_names),) * self.n_masters
 
-        # Per-slot tables the search reads instead of Enum lookups.
         self.is_load = tuple([r >= 0 for r in self.reg_ix])
         self.witnesses = tuple(
             [self.stores_to_addr[a] if r >= 0 else () for a, r in zip(self.addr_ix, self.reg_ix)]
@@ -359,13 +333,6 @@ class CompiledConfig:
                 row = [(-1, b, 0, 0) for b in bits]
             observe.append(tuple(row))
         self.observe = tuple(observe)
-        # Indexed by fence slot f and master m: every access ahead of f
-        # observed by m.
-        ahead_obs: list[tuple[int, ...]] = [()] * n
-        for f in self.fence_slots:
-            ahead = sum([obs_bit[a][0] for a in self.pred_access_slots[f]])
-            ahead_obs[f] = tuple([ahead << m for m in range(n_m)])
-        self.ahead_obs = tuple(ahead_obs)
         self.initial_state = 0
         for row, shifts in zip(self.initial_lov, lov_shift):
             for v, sh in zip(row, shifts):

@@ -218,7 +218,7 @@ def _target_json(target: TestTarget) -> dict:
     doc: dict = {"mustCover": sorted(target.must_cover), "onlyThese": target.only_these}
     if target.goal is not None:
         doc["pair"] = {
-            m: f"C{ix}" for m, ix in zip(target.goal.watched, target.goal.combo_indices)
+            m: combo_label(ix) for m, ix in zip(target.goal.watched, target.goal.combo_indices)
         }
     return doc
 
@@ -289,7 +289,7 @@ def verify_test(doc: str | bytes | TestCase) -> VerifyResult:
             if tc.target.get("onlyThese"):
                 extra = {
                     n for n in fired
-                    if not n.startswith("Issue") and n not in must
+                    if kernel.EVENT_CODE[n] not in kernel.ISSUE_CODES and n not in must
                 }
                 if extra:
                     problems.append(f"trace fires events outside mustCover: {sorted(extra)}")

@@ -466,6 +466,18 @@ class TestReplay:
         assert err.value.step == k
         assert err.value.cause.guard == "grd0"
 
+    @pytest.mark.parametrize("doc", [
+        {"name": "IssueStore", "s": ["I11"]},
+        {"name": ["IssueStore"], "s": "I11"},
+        {"name": "ObserveStoreWithoutFence", "s": "I11", "m": {"id": "M2"}},
+    ])
+    def test_json_list_or_object_in_a_step_reports_its_step(self, iriw_fence, doc):
+        trace = (EventDescriptor(name="IssueStore", s="I11"), EventDescriptor.from_json(doc))
+        with pytest.raises(ReplayError) as err:
+            replay(iriw_fence.config, trace)
+        assert err.value.step == 1
+        assert err.value.cause.guard == "grd0"
+
     def test_after_store_load_without_witness_keeps_after(self, iriw_fence):
         # With guards off, an after-store observation that names no
         # witness store leaves every after set as it was.

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from memlit import kernel
 from memlit.kernel import (
     EVENT_NAMES,
     ISSUE_CODES,
@@ -17,8 +18,10 @@ from memlit.kernel import (
     check_guards,
     successors,
     to_descriptor,
+    to_internal,
     unpack,
 )
+from memlit.litmus import parse
 from memlit.model import Instruction, InstrKind, InvalidConfig, SystemConfig, compile_config
 
 from oracle import (
@@ -130,12 +133,12 @@ class TestPacking:
 class TestAheadOf:
     def test_iriw_fence_predecessors(self, iriw_fence):
         cc = compile_config(iriw_fence.config)
-        assert mask_to_instr_ids(cc, cc.ahead_mask[cc.slot("I22")]) == {"I21"}
-        assert mask_to_instr_ids(cc, cc.ahead_mask[cc.slot("I32")]) == {"I31"}
+        assert mask_to_instr_ids(cc, kernel.accesses_before(cc, cc.slot("I22"))) == {"I21"}
+        assert mask_to_instr_ids(cc, kernel.accesses_before(cc, cc.slot("I32"))) == {"I31"}
 
     def test_fence_first_has_no_predecessors(self):
         cc = compile_config(make_config({"M1": [(InstrKind.FENCE,), (InstrKind.STORE, "a1", 1)]}))
-        assert mask_to_instr_ids(cc, cc.ahead_mask[cc.slot("M1_1")]) == set()
+        assert mask_to_instr_ids(cc, kernel.accesses_before(cc, cc.slot("M1_1"))) == set()
 
     def test_two_stores_before_fence(self):
         cfg = make_config({
@@ -147,7 +150,9 @@ class TestAheadOf:
             ]
         })
         cc = compile_config(cfg)
-        assert mask_to_instr_ids(cc, cc.ahead_mask[cc.slot("M1_3")]) == {"M1_1", "M1_2"}
+        assert mask_to_instr_ids(cc, kernel.accesses_before(cc, cc.slot("M1_3"))) == {
+            "M1_1", "M1_2"
+        }
 
 
 class TestEnabledEvents:
@@ -259,6 +264,110 @@ class TestFire:
                 st, iriw_fence.config,
                 EventDescriptor(name="ObserveStoreWithoutFence", s="I11", m="M9"),
             )
+
+
+LARGE = Path(__file__).parents[1] / "bench" / "iriw-3readers.litmus"
+
+
+def table_events(cc) -> list[tuple]:
+    """The internal event of every row of cc's event table."""
+    return [row[2] for _, _, rows in kernel._event_table(cc) for row in rows]
+
+
+class TestDescriptors:
+    """``to_internal`` and ``to_descriptor``: the event-descriptor surface
+    of traces and test documents."""
+
+    def test_table_rows_round_trip(self, all_corpus):
+        configs = [t.config for t in all_corpus.values()] + [parse(LARGE.read_text()).config]
+        configs += [random_config(random.Random(seed), 2) for seed in range(SAMPLED_SEEDS)]
+        for cfg in configs:
+            cc = compile_config(cfg)
+            for ev in table_events(cc):
+                assert to_internal(cc, to_descriptor(cc, ev)) == ev
+
+    @pytest.mark.parametrize("doc, detail", [
+        ({"name": "NotAnEvent", "s": "I11"}, "unknown event name"),
+        ({"name": "IssueStore", "s": "I99"}, "unknown instruction 'I99'"),
+        ({"name": "ObserveStoreWithoutFence", "s": "I11", "m": "M9"}, "unknown master 'M9'"),
+        ({"name": "ObserveStoreWithFence", "s": "I11", "m": "M2", "f": "I99"},
+         "unknown instruction 'I99'"),
+        ({"name": "ObserveStoreWithoutFence", "s": "I11"}, "missing master parameter"),
+        ({"name": "IssueStore"}, "missing instruction parameter"),
+        ({"name": "IssueFence", "s": "I22"}, "missing instruction parameter"),
+        ({"name": "ObserveScRelStore", "l": "I11", "m": "M2"}, "missing store parameter"),
+        ({"name": "ObserveLoadWithoutFence", "s": "I11", "m": "M2"}, "missing load parameter"),
+        ({"name": "ObserveScAcqLoad", "m": "M2"}, "missing load parameter"),
+        # JSON lists and objects name nothing either.
+        ({"name": ["IssueStore"], "s": "I11"}, "unknown event name"),
+        ({"name": "IssueStore", "s": ["I11"]}, "unknown instruction ['I11']"),
+        ({"name": "IssueLoad", "l": {"id": "I21"}}, "unknown instruction {'id': 'I21'}"),
+        ({"name": "ObserveStoreWithoutFence", "s": "I11", "m": {"M2": 1}},
+         "unknown master {'M2': 1}"),
+        ({"name": "ObserveLoadWithoutFence", "l": "I21", "m": "M2", "s": ["I11"]},
+         "unknown instruction ['I11']"),
+    ])
+    def test_unknown_or_missing_parameters_fail_grd0(self, iriw_fence, doc, detail):
+        cc = compile_config(iriw_fence.config)
+        with pytest.raises(GuardFailed) as err:
+            to_internal(cc, EventDescriptor.from_json(doc))
+        assert (err.value.guard, err.value.detail) == ("grd0", detail)
+
+    @pytest.mark.parametrize("doc, internal", [
+        # The four non-fence issue rules take s, else l; an issue reads
+        # nothing else.
+        ({"name": "IssueStore", "l": "I11"}, ("IssueStore", "I11", -1, -1, -1)),
+        ({"name": "IssueLoad", "s": "I21"}, ("IssueLoad", "I21", -1, -1, -1)),
+        ({"name": "IssueLoad", "s": "I21", "l": "I23"}, ("IssueLoad", "I21", -1, -1, -1)),
+        ({"name": "IssueStore", "s": "I11", "m": "M9", "f": "I99"},
+         ("IssueStore", "I11", -1, -1, -1)),
+        ({"name": "IssueFence", "f": "I22", "s": "I11"}, ("IssueFence", "I22", -1, -1, -1)),
+        # An observation keeps every field it names besides its
+        # instruction's, bound by its rule or not.
+        ({"name": "ObserveStoreWithoutFence", "s": "I11", "m": "M2", "f": "I22", "l": "I99"},
+         ("ObserveStoreWithoutFence", "I11", "M2", "I22", -1)),
+        ({"name": "ObserveLoadWithoutFence", "l": "I21", "m": "M2", "f": "I32", "s": "I11"},
+         ("ObserveLoadWithoutFence", "I21", "M2", "I32", "I11")),
+        ({"name": "ObserveScAcqLoad", "l": "I21", "m": "M3", "s": "I12"},
+         ("ObserveScAcqLoad", "I21", "M3", -1, "I12")),
+    ])
+    def test_lenient_inputs_keep_their_internal_event(self, iriw_fence, doc, internal):
+        cc = compile_config(iriw_fence.config)
+        name, x, m, f, s = internal
+        want = (EVENT_NAMES.index(name), cc.slot(x), cc.master_index.get(m, -1),
+                cc.slot_of.get(f, -1), cc.slot_of.get(s, -1))
+        assert to_internal(cc, EventDescriptor.from_json(doc)) == want
+
+    def test_lenient_steps_replay_like_their_descriptors(self, all_corpus):
+        # A step with an issue's access under the other of s and l, or
+        # with stray fields no guard or action of its rule reads, leads to
+        # the same state as the step to_descriptor gives.
+        for test in all_corpus.values():
+            cc = compile_config(test.config)
+            some = cc.instrs[0].id
+            rng = random.Random(test.name)
+            p = cc.initial_state
+            while succ := successors(cc, p):
+                ev, q = rng.choice(succ)
+                doc = to_descriptor(cc, ev).to_json()
+                variants = []
+                if ev[0] in ISSUE_CODES:
+                    if "f" in doc:
+                        variants.append({**doc, "s": "nothing", "l": "nothing", "m": "nobody"})
+                    else:
+                        x = doc.pop("s", None) or doc.pop("l")
+                        variants += [{**doc, "l": x, "m": "nobody", "f": "nothing"},
+                                     {**doc, "s": x, "l": "nothing"}]
+                else:
+                    if "l" not in doc:
+                        variants.append({**doc, "l": "nothing"})
+                    if "f" not in doc:
+                        variants.append({**doc, "f": some})
+                    if doc["name"] == "ObserveScAcqLoad":
+                        variants.append({**doc, "s": some})
+                for variant in variants:
+                    assert kernel.step(cc, p, EventDescriptor.from_json(variant)) == q, variant
+                p = q
 
 
 class TestLoadReturnValue:
@@ -627,5 +736,20 @@ def test_apply_event_matches_fire(data):
 def test_readme_event_roster_matches_rules():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     roster = readme.split("## Events", 1)[1].split("```", 2)[1]
-    assert tuple(roster.split()) == EVENT_NAMES
-    assert len(RULES) == len(EVENT_NAMES)
+    lines = [line.split() for line in roster.strip().splitlines()]
+    assert tuple(name for name, *_ in lines) == EVENT_NAMES
+    assert len(RULES) == len(EVENT_NAMES) == len(kernel.PARAMS)
+    for (name, *fields), (field, binds), rule in zip(lines, kernel.PARAMS, RULES):
+        want = [field, *binds]
+        # The before-store rules, with no "{s} is issued" guard, may omit
+        # the witness of a load that no store can feed.
+        if "s" in binds and "{s} is issued" not in [g.text for g in rule]:
+            want[want.index("s")] = "s?"
+        assert fields == want, name
+
+
+def test_rule_texts_name_the_declared_parameters():
+    for name, (field, binds), rule in zip(EVENT_NAMES, kernel.PARAMS, RULES):
+        named = {p for p in "xmfs" for g in rule if f"{{{p}}}" in g.text}
+        assert named == {"x", *binds}, name
+        assert field in "slf" and not set(binds) - set("mfs"), name

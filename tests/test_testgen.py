@@ -134,6 +134,18 @@ class TestDocuments:
         assert not res.ok
         assert any("replay" in p for p in res.problems)
 
+    @pytest.mark.parametrize("field, value", [("s", ["I11"]), ("name", ["IssueStore"]),
+                                              ("m", {"M2": 1})])
+    def test_json_list_or_object_in_a_step_names_the_step(self, iriw_fence, field, value):
+        tc = find_trace(iriw_fence, TestTarget(goal=PairGoal(("M2", "M3"), (0, 0))))
+        doc = json.loads(emit_test(tc))
+        k = next(i for i, step in enumerate(doc["steps"]) if field in step)
+        doc["steps"][k][field] = value
+        res = verify_test(json.dumps(doc))
+        assert not res.ok
+        assert any(p.startswith(f"trace does not replay: step {k}: ") and "grd0" in p
+                   for p in res.problems), res.problems
+
     @pytest.mark.parametrize(
         "defect, wanted",
         [
