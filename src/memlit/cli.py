@@ -235,6 +235,7 @@ def _run_suite(args: argparse.Namespace) -> int:
             failures += 1
         replayed.append({"file": path.name, "status": status, "problems": verdict.problems})
         lines.append(f"{path.name}: replay {status}")
+        lines += [f"  {problem}" for problem in verdict.problems]
         if verdict.ok:
             # Trace replays contribute their fired events to the tally.
             tally = {name: 0 for name in EVENT_NAMES}

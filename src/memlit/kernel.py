@@ -10,26 +10,29 @@ master indices of the compiled configuration.
 
 The thirteen transition rules are named in ``EVENT_NAMES``; their
 parameters and guards are declared once, as data, in ``PARAMS`` and
-``RULES``, and the event table, the staged enumeration and the event
-descriptors read them from there.  The five Issue rules issue the
-next instruction of a master in program order.  The Observe rules make an
-access visible to a master m: a store sets m's last-observed value for its
-address, and a load, observed by its issuer, copies that value into its
-register.  A plain load names a witness store s to its address and is
-observed before s or, once m has observed s, after it (joining after(s)).
-The WithFence rules apply once the access's issuer has issued a fence f,
-the WithoutFence rules before that.  Loads of addresses nothing stores to
-are observed through the before-store rules with the witness omitted.
+``RULES``, and the event table and the event descriptors read them from
+there.  The five Issue rules issue the next instruction of a master in
+program order.  The Observe rules make an access visible to a master m: a
+store sets m's last-observed value for its address, and a load, observed
+by its issuer, copies that value into its register.  A plain load names
+a witness store s to its address and is observed before s or, once m has
+observed s, after it (joining after(s)).  The WithFence rules apply once
+the access's issuer has issued a fence f, the WithoutFence rules before
+that.  Loads of addresses nothing stores to are observed through the
+before-store rules with the witness omitted.
 
 For one event instance each guard compiles to state masks (see
 ``Guard``).  A table of every instance that some state of a configuration
-may enable is built on first use and kept on the ``CompiledConfig``: each
-row holds the conjunction of its guards' masks, its event tuple and the
-successor's action.  Static guards (kind, issuer, witness address) rule
-instances out as it is built, and the atomic order is the only guard read
-from the state.  The search runs on ``search_layer``, a function generated
-from the table that expands a whole BFS layer with each row inlined in
-integers; ``successors`` lists one state's edges, for traces.
+may enable is built on first use and kept on the ``CompiledConfig``.  It
+ranges each rule's bound parameters over their types and compiles every
+instance's guards in rule order into a row: the conjunction of their
+masks, the event tuple and the successor's action.  Static guards (kind,
+issuer, witness address) rule instances out as it is built, and the
+atomic order is the only guard read from the state.  Guard texts are
+messages only: ``step`` quotes the first that fails.  The search runs on
+``search_layer``, a function generated from the table that expands a
+whole BFS layer with each row inlined in integers; ``successors`` lists
+one state's edges, for traces.
 """
 
 from __future__ import annotations
@@ -216,7 +219,9 @@ class Guard(NamedTuple):
     standing for the event's instruction, master, fence and witness store;
     a text names only parameters its rule binds (see ``PARAMS``).
     ``mask(cc, x, m, f, s)`` compiles the guard for one event instance: None
-    if it can never hold, else its (need, forbid) masks.  A static guard
+    if it can never hold, else its (need, forbid) masks.  A rule's guards
+    are compiled and checked in order, stopping at the first that fails, so
+    a mask may assume every earlier guard of its rule holds.  A static guard
     (kind, issuer, witness address) compiles to None or ``(0, 0)``.  The
     masks are exact on reachable states.  The one guard no mask expresses,
     the atomic order, has none and is read from the state by
@@ -431,7 +436,17 @@ def _effect(cc: CompiledConfig, ev: InternalEvent) -> tuple[int, int, int, int, 
     code, x, m, f, s = ev
     if code in ISSUE_CODES:
         return -1, 1 << x, 0, 0, 0
-    clear, set_, src, dst = cc.observe[x][m]
+    # Observing x by m sets m's observer bit of x; a store also writes its
+    # value into m's lov field for its address, and a load copies that
+    # field into its register.
+    a, r, v, set_ = cc.addr_ix[x], cc.reg_ix[x], cc.value_of[x], cc.obs_bit[x][m]
+    clear, src, dst = -1, 0, 0
+    if v >= 0:
+        lov = cc.lov_shift[m][a]
+        clear, set_ = ~(cc.value_mask << lov), set_ | cc.value_index[v] << lov
+    elif r >= 0:
+        src, dst = cc.lov_shift[m][a], cc.reg_shift[m][r]
+        clear = ~(cc.value_mask << dst)
     if code == OBS_LOAD_AS_WF or code == OBS_LOAD_AS_WOF:
         return clear, (set_ | cc.after_bit[s][x]) if s >= 0 else set_, src, dst, 0
     return clear, set_, src, dst, cc.rank_shift[x]
@@ -462,31 +477,14 @@ def apply_event(cc: CompiledConfig, p: int, ev: InternalEvent) -> int:
 # finals order, tallies and every golden depend: issues by master, then
 # observations of plain stores, release stores, plain loads and acquire
 # loads.  Within a phase, instances run by x, m, f and s, each in slot or
-# master order with -1 (absent) last, then by rule in the order given.
+# master order with -1 (absent) last, then by rule in the order given.  The
+# rules of a phase all bind m, or none does.
 _PHASES = (
     tuple(sorted(ISSUE_CODES)),
     (OBS_STORE_WF, OBS_STORE_WOF),
     (OBS_SC_REL_STORE,),
     (OBS_LOAD_AS_WF, OBS_LOAD_HB_WF, OBS_LOAD_AS_WOF, OBS_LOAD_WOF),
     (OBS_SC_ACQ_LOAD,),
-)
-
-# Per rule and parameter of x, m, f and s: whether the rule binds it
-# (``PARAMS``), and the guards with a mask whose text names it last among
-# the four.  A guard's text names every parameter it reads, so once the
-# parameters up to one are bound, that one's guards can rule the instance
-# out.  A mask may assume the guards before it in its rule that name no
-# later parameter than it does.
-_PARAMS = "xmfs"
-_BINDS = tuple(tuple(p in "x" + binds for p in _PARAMS) for _, binds in PARAMS)
-_STAGES = tuple(
-    tuple(
-        tuple(g for g in rule if g.mask and max(
-            k for k, p in enumerate(_PARAMS) if f"{{{p}}}" in g.text
-        ) == stage)
-        for stage in range(len(_PARAMS))
-    )
-    for rule in RULES
 )
 
 
@@ -497,12 +495,12 @@ def _compile_row(cc: CompiledConfig, ev: InternalEvent) -> tuple | None:
     first observation takes a rank or that has such a guard."""
     code, x, m, f, s = ev
     need = forbid = 0
-    reads = []
-    for guard in RULES[code]:
-        if guard.mask is None:
-            reads.append(guard.read)
+    reads = ()
+    for _, mask, read in RULES[code]:
+        if mask is None:
+            reads += (read,)
             continue
-        masks = guard.mask(cc, x, m, f, s)
+        masks = mask(cc, x, m, f, s)
         if masks is None:
             return None
         need |= masks[0]
@@ -510,7 +508,7 @@ def _compile_row(cc: CompiledConfig, ev: InternalEvent) -> tuple | None:
     if need & forbid:
         return None
     clear, set_, src, dst, shift = _effect(cc, ev)
-    atomic = (cc.obs_field[x], shift, tuple(reads)) if shift or reads else None
+    atomic = (cc.obs_field[x], shift, reads) if shift or reads else None
     return need, forbid, ev, clear, set_, src, dst, atomic
 
 
@@ -518,35 +516,23 @@ def _event_table(cc: CompiledConfig) -> tuple:
     """Every event instance of cc that some state may enable, in search
     order, as groups (need, forbid, rows) of the rows of one (x, m): a
     group's masks are those all its rows share, and each row keeps the
-    rest of its own."""
+    rest of its own.  Each parameter a rule binds (``PARAMS``) ranges over
+    its type: x over the slots, m over the masters, f over the fences and
+    s over x's witness stores, f and s also absent (-1); an unbound one is
+    -1.  ``_compile_row`` alone rules instances out."""
     fences = (*cc.fence_slots, -1)
-    stores = (*range(cc.n_instr), -1)
-
-    def live(codes, stage: int, x: int, m: int = -1, f: int = -1, s: int = -1) -> list[int]:
-        # The rules among codes that bind the stage's parameter, or leave
-        # it absent, and whose guards of that stage can hold.
-        value = (x, m, f, s)[stage]
-        return [
-            code for code in codes
-            if (value < 0 or _BINDS[code][stage])
-            and all(g.mask(cc, x, m, f, s) is not None for g in _STAGES[code][stage])
-        ]
-
     table = []
     for phase in _PHASES:
-        masters = range(cc.n_masters) if _BINDS[phase[0]][1] else (-1,)
         for x in range(cc.n_instr):
-            at_x = live(phase, 0, x)
-            for m in masters if at_x else ():
-                at_m = live(at_x, 1, x, m)
-                rows = []
-                for f in fences if at_m else ():
-                    at_f = live(at_m, 2, x, m, f)
-                    for s in stores if at_f else ():
-                        for code in live(at_f, 3, x, m, f, s):
-                            row = _compile_row(cc, (code, x, m, f, s))
-                            if row is not None:
-                                rows.append(row)
+            bindings = [
+                (code, f, s) for f in fences for s in (*cc.witnesses[x], -1) for code in phase
+                if (f < 0 or "f" in PARAMS[code][1]) and (s < 0 or "s" in PARAMS[code][1])
+            ]
+            for m in range(cc.n_masters) if "m" in PARAMS[phase[0]][1] else (-1,):
+                rows = [
+                    row for code, f, s in bindings
+                    for row in [_compile_row(cc, (code, x, m, f, s))] if row
+                ]
                 if rows:
                     need = forbid = -1
                     for row in rows:

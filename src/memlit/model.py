@@ -2,8 +2,9 @@
 
 A configuration fixes a finite universe of masters, programs, addresses,
 registers and values.  All transition semantics live in ``kernel``, the
-program-order sets its guards read included; this module only validates
-the static data, indexes it and lays out the packed machine state.
+program-order sets its guards read and the fields each event's action
+writes included; this module only validates the static data, indexes it
+and lays out the packed machine state.
 """
 
 from __future__ import annotations
@@ -185,9 +186,10 @@ class CompiledConfig:
     Instructions get dense slots (program order, master by master), masters,
     addresses and registers get dense indices; the kernel operates on these
     exclusively.  Bit positions in instruction masks are slots, in master
-    masks master indices.  No table here serves one guard: each guard
-    derives what it reads from ``program_mask``, ``access_mask`` and
-    ``fence_mask``.
+    masks master indices.  No table here serves one guard or action: each
+    guard derives what it reads from ``program_mask``, ``access_mask`` and
+    ``fence_mask``, and each action the fields it writes from the shifts
+    and bits of the layout.
     """
 
     def __init__(self, config: SystemConfig):
@@ -266,7 +268,7 @@ class CompiledConfig:
         values = self.values = tuple(sorted(self.config.values))
         index = self.value_index = {v: i for i, v in enumerate(values)}
         width = (len(values) - 1).bit_length()
-        mask = self.value_mask = (1 << width) - 1
+        self.value_mask = (1 << width) - 1
 
         def fields(base: int, rows: int, cols: int) -> tuple[tuple[int, ...], ...]:
             return tuple([
@@ -293,7 +295,7 @@ class CompiledConfig:
         pos += n_m * n_a * width
         self.rf_shift = pos
         self.rf_mask = (1 << (n_m * n_r * width)) - 1
-        reg_shift = self.reg_shift = fields(pos, n_m, n_r)
+        self.reg_shift = fields(pos, n_m, n_r)
         pos += n_m * n_r * width
 
         after: dict[int, list[int]] = {}
@@ -316,23 +318,6 @@ class CompiledConfig:
         self.atomic_fields = tuple([obs_field[x] for x in atomics])
         self.state_bits = pos
 
-        # Observing slot x by master m turns p into (p & clear) | set;
-        # a load then copies the value field at ``src`` to the register
-        # field at ``dst`` (0 for stores and fences, which copy nothing).
-        observe = []
-        for x in range(n):
-            a, r, v, bits = self.addr_ix[x], self.reg_ix[x], self.value_of[x], obs_bit[x]
-            if v >= 0:  # a store
-                v = index[v]
-                row = [(~(mask << lov[a]), b | (v << lov[a]), 0, 0)
-                       for b, lov in zip(bits, lov_shift)]
-            elif r >= 0:  # a load
-                row = [(~(mask << regs[r]), b, lov[a], regs[r])
-                       for b, lov, regs in zip(bits, lov_shift, reg_shift)]
-            else:
-                row = [(-1, b, 0, 0) for b in bits]
-            observe.append(tuple(row))
-        self.observe = tuple(observe)
         self.initial_state = 0
         for row, shifts in zip(self.initial_lov, lov_shift):
             for v, sh in zip(row, shifts):

@@ -396,6 +396,17 @@ class TestSuite:
         [replayed] = json.loads(out)["replayed"]
         assert replayed["status"] == "fail" and replayed["problems"]
 
+    def test_text_output_names_why_a_document_fails(self, capsys, tmp_path, iriw_fence):
+        case = find_trace(iriw_fence, TestTarget(goal=PairGoal(("M2", "M3"), (0, 0))))
+        doc = json.loads(emit_test(case))
+        doc["steps"][0] = {"name": "IssueStore", "s": ["I11"]}
+        (tmp_path / "t.json").write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "suite", str(tmp_path))
+        assert code == 1
+        fail, problem = out.splitlines()[:2]
+        assert fail == "t.json: replay fail"
+        assert problem.startswith("  trace does not replay: step 0: ") and "grd0" in problem
+
 
 class TestFmt:
     def test_canonical_output_reparses(self, capsys, fence_path):
