@@ -31,8 +31,12 @@ issuer, witness address) rule instances out as it is built, and the
 atomic order is the only guard read from the state.  Guard texts are
 messages only: ``step`` quotes the first that fails.  The search runs on
 ``search_layer``, a function generated from the table that expands a
-whole BFS layer with each row inlined in integers; ``successors`` lists
-one state's edges, for traces.
+whole BFS layer with each row inlined in integers.  It tests the rows as
+a decision tree that keeps their order: rows that share mask bits are
+wrapped in one test of them, and rows that exclude each other are chained
+with elif/else.  The tree fires exactly the rows whose own masks hold, on
+every int, and its tests nest at most four deep, whatever the program's
+length.  ``successors`` lists one state's edges, for traces.
 """
 
 from __future__ import annotations
@@ -356,19 +360,20 @@ _NO_LOAD_AFTER = Guard("no load is observed after {s} yet",
 
 # The parameters of every transition rule, indexed by event code, as an
 # Event-B event's ANY clause declares them: the event descriptor's field
-# that names the instruction x, and the parameters the rule binds among
-# m, f and s.  A before-store load observation may leave s absent.
-PARAMS: tuple[tuple[str, str], ...] = (
+# that names the instruction x, the parameters the rule binds among m, f
+# and s, and those of them that may be absent (-1).  Only a before-store
+# load observation may leave s absent, for a load nothing can feed.
+PARAMS: tuple[tuple[str, str, str], ...] = (
     # IssueStore, IssueLoad, IssueFence, IssueScRelStore, IssueScAcqLoad
-    ("s", ""), ("l", ""), ("f", ""), ("s", ""), ("l", ""),
+    ("s", "", ""), ("l", "", ""), ("f", "", ""), ("s", "", ""), ("l", "", ""),
     # ObserveStoreWithFence, ObserveStoreWithoutFence
-    ("s", "mf"), ("s", "m"),
+    ("s", "mf", ""), ("s", "m", ""),
     # ObserveLoadHappensBeforeWithFence, ObserveLoadAfterStoreWithFence
-    ("l", "mfs"), ("l", "mfs"),
+    ("l", "mfs", "s"), ("l", "mfs", ""),
     # ObserveLoadWithoutFence, ObserveLoadAfterStoreWithoutFence
-    ("l", "ms"), ("l", "ms"),
+    ("l", "ms", "s"), ("l", "ms", ""),
     # ObserveScRelStore, ObserveScAcqLoad
-    ("s", "m"), ("l", "m"),
+    ("s", "m", ""), ("l", "m", ""),
 )
 
 # The guards of every transition rule, indexed by event code.  A guard's
@@ -518,15 +523,21 @@ def _event_table(cc: CompiledConfig) -> tuple:
     group's masks are those all its rows share, and each row keeps the
     rest of its own.  Each parameter a rule binds (``PARAMS``) ranges over
     its type: x over the slots, m over the masters, f over the fences and
-    s over x's witness stores, f and s also absent (-1); an unbound one is
-    -1.  ``_compile_row`` alone rules instances out."""
+    s over x's witness stores, each also absent (-1) where ``PARAMS``
+    allows it; an unbound one is -1.  ``_compile_row`` alone rules
+    instances out."""
+
+    def admits(code: int, name: str, value: int) -> bool:
+        _, bound, absent = PARAMS[code]
+        return name in bound if value >= 0 else name in absent or name not in bound
+
     fences = (*cc.fence_slots, -1)
     table = []
     for phase in _PHASES:
         for x in range(cc.n_instr):
             bindings = [
                 (code, f, s) for f in fences for s in (*cc.witnesses[x], -1) for code in phase
-                if (f < 0 or "f" in PARAMS[code][1]) and (s < 0 or "s" in PARAMS[code][1])
+                if admits(code, "f", f) and admits(code, "s", s)
             ]
             for m in range(cc.n_masters) if "m" in PARAMS[phase[0]][1] else (-1,):
                 rows = [
@@ -593,14 +604,94 @@ if q not in parents:
     parents[q] = p
     if len(parents) > limit:
         raise exceeded(limit, depth, len(frontier))
-    if q & {lo} == {lo}:
-        k = ((q >> {rs}) & {rm}) | ((q >> {sb}) << {rw})
-        if k not in triggers:
-            triggers[k] = q
-            if stop(k):
-                halt = q
-                break
+    if q & {lo} == {lo} and (k := ((q >> {rs}) & {rm}) | ((q >> {sb}) << {rw})) not in triggers:
+        triggers[k] = q
+        if stop(k):
+            halt = q
+            break
     append(q)"""
+
+
+# A node of a layer's decision tree: (need, forbid, reads, body) tests
+# ``p & need == need and not p & forbid`` and the read guards, and its body
+# is a list of nodes, or a leaf's edge as (tally line, other lines).
+_Node = tuple[int, int, tuple[str, ...], "list | tuple[str, tuple[str, ...]]"]
+
+
+def _factor(nodes: list[_Node]) -> list[_Node]:
+    """Wrap each run of two or more consecutive nodes whose masks share a
+    bit in one node that tests the bits they all share; its nodes drop
+    them."""
+    runs: list[list] = []
+    for node in nodes:
+        if runs and (runs[-1][0] & node[0] or runs[-1][1] & node[1]):
+            runs[-1][0] &= node[0]
+            runs[-1][1] &= node[1]
+            runs[-1][2].append(node)
+        else:
+            runs.append([node[0], node[1], [node]])
+    return [
+        run[0] if len(run) == 1 else
+        (need, forbid, (), [(n & ~need, f & ~forbid, *rest) for n, f, *rest in run])
+        for need, forbid, run in runs
+    ]
+
+
+def _chains(nodes: list[_Node]) -> list[list]:
+    """Split sibling nodes into if/elif/else chains of (test, body).  A node
+    joins the open chain when its masks exclude those of every node in it
+    (it needs a bit one of them forbids, or forbids one it needs), so it
+    can hold only where they all fail.  Its test drops the bits that the
+    failed single-bit tests before it imply; a node left with nothing to
+    test is the chain's ``else`` and ends it.  An ``else`` whose nodes form
+    one chain continues the chain with them, as ``elif``s."""
+    chains: list[list] = []
+    masks: list[tuple[int, int]] = []
+    known_need = known_forbid = 0
+    for need, forbid, reads, body in nodes:
+        if not masks or not all(need & f or forbid & n for n, f in masks):
+            chains.append([])
+            masks, known_need, known_forbid = [], 0, 0
+        test = (need & ~known_need, forbid & ~known_forbid, reads)
+        masks.append((need, forbid))
+        if not reads and (test[0] | test[1]).bit_count() == 1:
+            known_need, known_forbid = known_need | test[1], known_forbid | test[0]
+        if test == (0, 0, ()):
+            masks = []
+            inner = _chains(body) if chains[-1] and isinstance(body, list) else ()
+            if len(inner) == 1:
+                chains[-1] += inner[0]
+                continue
+        chains[-1].append((test, body))
+    return chains
+
+
+def _emit(nodes: list[_Node], depth: int, lines: list[str]) -> None:
+    """Append the source of sibling nodes, indented ``depth`` levels."""
+    pad = "    " * depth
+    for chain in _chains(nodes):
+        leaves = [body for _, body in chain if isinstance(body, tuple)]
+        # A chain of edges that ends in an else fires exactly one of them:
+        # if they differ only in their tally, the rest is written once.
+        shared = (len(leaves) == len(chain) > 1 and not any(chain[-1][0])
+                  and len({rest for _, rest in leaves}) == 1)
+        if shared:
+            lines.append(pad + "e = 1")
+        for k, ((need, forbid, reads), body) in enumerate(chain):
+            tests = [f"p & {need}" if need & need - 1 == 0 else f"p & {need} == {need}"] * bool(need)
+            tests += [f"not p & {forbid}"] * bool(forbid) + list(reads)
+            if tests:
+                lines.append(pad + ("elif " if k else "if ") + " and ".join(tests) + ":")
+            elif k:
+                lines.append(pad + "else:")
+            inner = depth + bool(tests or k)
+            if isinstance(body, list):
+                _emit(body, inner, lines)
+            else:
+                edge = (body[0],) if shared else ("e = 1", body[0], *body[1])
+                lines += ["    " * inner + line for line in edge]
+        if shared:
+            lines += [pad + line for line in leaves[0][1]]
 
 
 def layer_source(cc: CompiledConfig, cover: tuple[tuple[int, int], ...] = (),
@@ -608,35 +699,45 @@ def layer_source(cc: CompiledConfig, cover: tuple[tuple[int, int], ...] = (),
     """The source of cc's ``layer``, written in cc's integers: no name or
     text of the configuration enters it.  ``cover`` pairs event codes with
     bits above ``cc.state_bits`` that their edges also set, and ``only``
-    drops the observations ``cover`` does not name."""
+    drops the observations ``cover`` does not name.
+
+    The table's rows are tested as a decision tree that keeps their order:
+    runs of consecutive groups, then of a group's rows, that share mask bits
+    are wrapped in one test of the bits they share (``_factor``), and
+    siblings that exclude each other form if/elif/else chains
+    (``_chains``).  Each row still fires exactly where its own flat test
+    holds, on every int, so edges come in ``successors`` order.  Tests nest
+    at most four deep: a run of groups, a group, a run of rows and a row."""
     bits = dict(cover)
     new = _NEW.format(lo=cc.loads_observed, rs=cc.rf_shift, rm=cc.rf_mask,
                       sb=cc.state_bits, rw=cc.rf_mask.bit_length()).splitlines()
-    rows: list[str] = []
 
-    def gate(depth: int, need: int, forbid: int, *reads: str) -> int:
-        tests = [f"p & {need} == {need}"] * bool(need) + [f"not p & {forbid}"] * bool(forbid)
-        tests += reads
-        rows.extend(["    " * depth + f"if {' and '.join(tests)}:"] * bool(tests))
-        return depth + bool(tests)
+    def edge(code, x, m, f, s, clear, set_, src, dst, atomic) -> tuple[str, tuple[str, ...]]:
+        q = "p" if clear == -1 else f"(p & {clear})"
+        lines = [f"q = {q} | {set_ | bits.get(code, 0)}"]
+        if dst:
+            lines.append(f"q |= ((p >> {src}) & {cc.value_mask}) << {dst}")
+        if atomic and atomic[1]:
+            lines += [f"if not p & {atomic[0]}:", f"    q |= next_rank(cc, p) << {atomic[1]}"]
+        # An edge that observes no load and fires no mustCover event keeps its node's key.
+        tail = new if set_ & cc.loads_observed or code in bits else new[:4] + new[-1:]
+        return f"t{code} += 1", tuple(lines + tail)
 
     cc.event_table = cc.event_table or _event_table(cc)
+    groups = []
     for group_need, group_forbid, group in cc.event_table:
-        group = [row for row in group if not only or row[2][0] in ISSUE_CODES or row[2][0] in bits]
-        at_group = gate(2, group_need, group_forbid) if group else 0
-        for need, forbid, (code, x, m, f, s), clear, set_, src, dst, atomic in group:
-            reads = atomic[2] if atomic else ()
-            depth = gate(at_group, need, forbid,
-                         *[f"read{_READS.index(r)}(cc, p, {x}, {m}, {f}, {s})" for r in reads])
-            q = "p" if clear == -1 else f"(p & {clear})"
-            lines = ["e = 1", f"t{code} += 1", f"q = {q} | {set_ | bits.get(code, 0)}"]
-            if dst:
-                lines.append(f"q |= ((p >> {src}) & {cc.value_mask}) << {dst}")
-            if atomic and atomic[1]:
-                lines += [f"if not p & {atomic[0]}:", f"    q |= next_rank(cc, p) << {atomic[1]}"]
-            # An edge that observes no load and fires no mustCover event keeps its node's key.
-            tail = new if set_ & cc.loads_observed or code in bits else new[:4] + new[-1:]
-            rows += ["    " * depth + line for line in lines + tail]
+        leaves = [
+            (need, forbid,
+             tuple([f"read{_READS.index(r)}(cc, p, {x}, {m}, {f}, {s})" for r in atomic[2]])
+             if atomic else (),
+             edge(code, x, m, f, s, *effect, atomic))
+            for need, forbid, (code, x, m, f, s), *effect, atomic in group
+            if not only or code in ISSUE_CODES or code in bits
+        ]
+        if leaves:
+            groups.append((group_need, group_forbid, (), _factor(leaves)))
+    rows: list[str] = []
+    _emit(_factor(groups), 2, rows)
     codes = range(len(EVENT_NAMES))
     return _LAYER.format(zero=" = ".join([f"t{c}" for c in codes]), rows="\n".join(rows),
                          count="".join([f"    tally[{c}] += t{c}\n" for c in codes]))
@@ -665,7 +766,7 @@ def to_descriptor(cc: CompiledConfig, ev: InternalEvent) -> EventDescriptor:
     """The descriptor of ev: x under its rule's field, then the parameters
     the rule binds, each by id (an absent one is left out)."""
     code, x, m, f, s = ev
-    field, binds = PARAMS[code]
+    field, binds, _ = PARAMS[code]
 
     def instr(y: int) -> str | None:
         return cc.instrs[y].id if y >= 0 else None
@@ -691,7 +792,7 @@ def to_internal(cc: CompiledConfig, ev: EventDescriptor) -> InternalEvent:
         return -1 if i is None else lookup(cc.slot_of, i, f"unknown instruction {i!r}")
 
     code = lookup(EVENT_CODE, ev.name, "unknown event name")
-    field, binds = PARAMS[code]
+    field, binds, _ = PARAMS[code]
     if not binds:
         target = ev.f if field == "f" else ev.l if ev.s is None else ev.s
         if target is None:

@@ -7,8 +7,9 @@ recursion, load values by a per-master fold over raw event sequences, the
 sequentially consistent outcomes by an interpreter without the kernel,
 program order, coherence and happens-before by a checker over raw traces, and
 membership of a fuzz program class by its definition rather than its sampler,
-litmus tokens by the character loop the tokenizer replaced, and the search
-by the loop over ``successors`` edges that the generated layers replaced.
+litmus tokens by the character loop the tokenizer replaced, the search by the
+loop over ``successors`` edges that the generated layers replaced, and a
+layer's decision tree by the event table's rows tested one at a time.
 
 The package's machine state is the packed int; ``MachineState`` is only the
 view ``replay`` returns.  The toolkit converts at that boundary: ``pack``
@@ -786,3 +787,24 @@ def reference_explore_full(
         witness=space.trace_to(cc, end) if end is not None else None,
     )
     return result, space
+
+
+# ---------------------------------------------------------------------------
+# The event table's rows, each tested on its own, as ``successors`` tests
+# them and as the generated layers did before they became decision trees.
+# ---------------------------------------------------------------------------
+
+def flat_layer(cc: CompiledConfig, p: int, cover=(), only: bool = False):
+    """What ``kernel.search_layer(cc, cover, only)`` makes of the frontier
+    [p] with an empty parent map, for any int p: the new nodes in edge
+    order, the tally per event code, and whether p is final.  ``cover`` and
+    ``only`` are read as ``kernel.layer_source`` reads them."""
+    bits = dict(cover)
+    edges = [
+        (ev[0], q | bits.get(ev[0], 0)) for ev, q in successors(cc, p)
+        if not only or ev[0] in kernel.ISSUE_CODES or ev[0] in bits
+    ]
+    tally = [0] * len(kernel.EVENT_NAMES)
+    for code, _ in edges:
+        tally[code] += 1
+    return list(dict.fromkeys([q for _, q in edges])), tally, not edges

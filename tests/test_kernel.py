@@ -739,17 +739,16 @@ def test_readme_event_roster_matches_rules():
     lines = [line.split() for line in roster.strip().splitlines()]
     assert tuple(name for name, *_ in lines) == EVENT_NAMES
     assert len(RULES) == len(EVENT_NAMES) == len(kernel.PARAMS)
-    for (name, *fields), (field, binds), rule in zip(lines, kernel.PARAMS, RULES):
-        want = [field, *binds]
+    for (name, *fields), (field, binds, absent), rule in zip(lines, kernel.PARAMS, RULES):
+        want = [field, *[p + "?" * (p in absent) for p in binds]]
         # The before-store rules, with no "{s} is issued" guard, may omit
         # the witness of a load that no store can feed.
-        if "s" in binds and "{s} is issued" not in [g.text for g in rule]:
-            want[want.index("s")] = "s?"
+        assert ("s" in absent) == ("s" in binds and "{s} is issued" not in [g.text for g in rule])
         assert fields == want, name
 
 
 def test_rule_texts_name_the_declared_parameters():
-    for name, (field, binds), rule in zip(EVENT_NAMES, kernel.PARAMS, RULES):
+    for name, (field, binds, absent), rule in zip(EVENT_NAMES, kernel.PARAMS, RULES):
         named = {p for p in "xmfs" for g in rule if f"{{{p}}}" in g.text}
         assert named == {"x", *binds}, name
-        assert field in "slf" and not set(binds) - set("mfs"), name
+        assert field in "slf" and not set(binds) - set("mfs") and not set(absent) - set(binds), name

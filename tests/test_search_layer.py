@@ -3,6 +3,7 @@ over ``successors`` edges they replaced (``oracle.reference_explore_full``),
 and the hygiene of the source they are compiled from."""
 
 import ast
+import contextlib
 import hashlib
 import itertools
 import os
@@ -14,14 +15,23 @@ from pathlib import Path
 import pytest
 
 from memlit import corpus, explorer, kernel
+from memlit.cli import main
 from memlit.explorer import StateLimitExceeded, check_outcome, explore, explore_test
 from memlit.litmus import parse
 from memlit.model import Instruction, InstrKind, SystemConfig, compile_config
 from memlit.testgen import PairGoal, TestTarget, Unreachable, find_trace
 
-from oracle import SAMPLED_SEEDS, random_config, reference_explore_full
+from oracle import SAMPLED_SEEDS, flat_layer, random_config, reference_explore_full
 
 LARGE = Path(__file__).parents[1] / "bench" / "iriw-3readers.litmus"
+
+# One master of 120 stores: its issue rows are one if/elif chain, not 120
+# nested tests.
+LONG = "\n".join([
+    'litmus "long"', "init { a = 0; }",
+    "master M1 {", *[f"  I{k}: ST a #{k % 3 + 1};" for k in range(1, 121)], "}",
+    "master M2 { J1: LD R1 a; }", "allowed ( M2:R1 = 1 )", "",
+])
 
 
 @pytest.fixture()
@@ -69,6 +79,15 @@ class TestAgainstReference:
         for seed in range(SAMPLED_SEEDS):
             explore(random_config(random.Random(seed), max_per_master=2))
         assert len(compared) == SAMPLED_SEEDS
+
+    def test_sampled_configs_of_three_per_master(self, compared):
+        # Four of these reach 275k to 5.5M states; they are compared where
+        # both searches stop at the state limit.
+        for seed in range(SAMPLED_SEEDS):
+            with contextlib.suppress(StateLimitExceeded):
+                explore(random_config(random.Random(seed), max_per_master=3), max_states=100_000)
+        assert len(compared) == SAMPLED_SEEDS
+        assert sum(isinstance(c, tuple) for c in compared) == 4
 
     def test_large(self, compared):
         explore_test(parse(LARGE.read_text()))
@@ -135,6 +154,42 @@ def _configs():
     yield parse(LARGE.read_text()).config
     for seed in range(SAMPLED_SEEDS):
         yield random_config(random.Random(seed), max_per_master=2)
+    yield parse(LONG).config
+
+
+def _random_ints(rng: random.Random, bits: int, n: int):
+    """n ints below ``1 << bits``, most of them no reachable state, with
+    about 1/8 to 7/8 of their bits set."""
+    for _ in range(n):
+        p = rng.getrandbits(bits)
+        for _ in range(rng.randrange(3)):
+            p = p & rng.getrandbits(bits) if rng.random() < 0.5 else p | rng.getrandbits(bits)
+        yield p
+
+
+class TestTreeAgainstFlatRows:
+    def test_every_variant_on_random_ints(self):
+        # The tree must equal the flat row tests on every int, not only on
+        # reachable states.
+        rng = random.Random(24)
+        for config in _configs():
+            cc = compile_config(config)
+            for cover, only in _variants(cc):
+                layer = kernel.search_layer(cc, cover, only)
+                for p in _random_ints(rng, cc.state_bits, 40):
+                    finals, tally = [], [0] * len(kernel.EVENT_NAMES)
+                    out, halt = layer([p], {}, finals, {}, lambda k: False, 1 << 62,
+                                      StateLimitExceeded, 0, tally, cc)
+                    assert (out, tally, finals == [p]) == flat_layer(cc, p, cover, only), p
+                    assert halt == 0 and finals in ([], [p])
+
+
+def test_a_long_program_compiles(capsys, tmp_path):
+    path = tmp_path / "long.litmus"
+    path.write_text(LONG)
+    assert main(["check", str(path), "--max-states", "1000"]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("long: Reachable (allowed outcome, 197 states)\n", "")
 
 
 # Every name a generated layer may use.
@@ -189,6 +244,15 @@ class TestSourceHygiene:
                         assert type(node.value) is int, node.value
                     assert not isinstance(node, (ast.JoinedStr, ast.Lambda, ast.Import,
                                                  ast.ImportFrom, ast.Global)), ast.dump(node)
+
+    def test_tests_nest_at_most_four_deep(self):
+        # The def and the loop, four tests and an edge's own three levels:
+        # far below the 100 levels of indentation CPython accepts.
+        for config in _configs():
+            cc = compile_config(config)
+            for cover, only in _variants(cc):
+                lines = kernel.layer_source(cc, cover, only).splitlines()
+                assert max(len(line) - len(line.lstrip(" ")) for line in lines) <= 4 * 9
 
     def test_hostile_ids_emit_the_source_of_plain_ones(self):
         hostile = compile_config(_hostile_config(False))
