@@ -35,8 +35,9 @@ whole BFS layer with each row inlined in integers.  It tests the rows as
 a decision tree that keeps their order: rows that share mask bits are
 wrapped in one test of them, and rows that exclude each other are chained
 with elif/else.  The tree fires exactly the rows whose own masks hold, on
-every int, and its tests nest at most four deep, whatever the program's
-length.  ``successors`` lists one state's edges, for traces.
+every int.  Its tests nest at most four deep and its chains hold at most
+``_CHAIN`` tests, whatever the program's length, so CPython compiles it.
+``successors`` lists one state's edges, for traces.
 """
 
 from __future__ import annotations
@@ -612,6 +613,14 @@ if q not in parents:
     append(q)"""
 
 
+# The most tests one if/elif chain of a layer holds; a longer run of
+# exclusive nodes starts a new chain.  CPython's parser and compiler recurse
+# once per elif: the compiler raises RecursionError past about three times
+# the recursion limit (about 3,000 elifs at the default of 1,000), and the
+# parser fails near 6,000.  A layer nests at most four chains, so no input
+# comes near either limit.
+_CHAIN = 100
+
 # A node of a layer's decision tree: (need, forbid, reads, body) tests
 # ``p & need == need and not p & forbid`` and the read guards, and its body
 # is a list of nodes, or a leaf's edge as (tally line, other lines).
@@ -644,12 +653,14 @@ def _chains(nodes: list[_Node]) -> list[list]:
     can hold only where they all fail.  Its test drops the bits that the
     failed single-bit tests before it imply; a node left with nothing to
     test is the chain's ``else`` and ends it.  An ``else`` whose nodes form
-    one chain continues the chain with them, as ``elif``s."""
+    one chain continues the chain with them, as ``elif``s.  No chain holds
+    more than ``_CHAIN`` tests."""
     chains: list[list] = []
     masks: list[tuple[int, int]] = []
     known_need = known_forbid = 0
     for need, forbid, reads, body in nodes:
-        if not masks or not all(need & f or forbid & n for n, f in masks):
+        if (not masks or len(chains[-1]) >= _CHAIN
+                or not all(need & f or forbid & n for n, f in masks)):
             chains.append([])
             masks, known_need, known_forbid = [], 0, 0
         test = (need & ~known_need, forbid & ~known_forbid, reads)
@@ -659,7 +670,7 @@ def _chains(nodes: list[_Node]) -> list[list]:
         if test == (0, 0, ()):
             masks = []
             inner = _chains(body) if chains[-1] and isinstance(body, list) else ()
-            if len(inner) == 1:
+            if len(inner) == 1 and len(chains[-1]) + len(inner[0]) <= _CHAIN:
                 chains[-1] += inner[0]
                 continue
         chains[-1].append((test, body))
@@ -707,7 +718,8 @@ def layer_source(cc: CompiledConfig, cover: tuple[tuple[int, int], ...] = (),
     siblings that exclude each other form if/elif/else chains
     (``_chains``).  Each row still fires exactly where its own flat test
     holds, on every int, so edges come in ``successors`` order.  Tests nest
-    at most four deep: a run of groups, a group, a run of rows and a row."""
+    at most four deep: a run of groups, a group, a run of rows and a row;
+    and no chain holds more than ``_CHAIN`` tests."""
     bits = dict(cover)
     new = _NEW.format(lo=cc.loads_observed, rs=cc.rf_shift, rm=cc.rf_mask,
                       sb=cc.state_bits, rw=cc.rf_mask.bit_length()).splitlines()

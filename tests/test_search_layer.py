@@ -247,12 +247,39 @@ class TestSourceHygiene:
 
     def test_tests_nest_at_most_four_deep(self):
         # The def and the loop, four tests and an edge's own three levels:
-        # far below the 100 levels of indentation CPython accepts.
+        # far below the 100 levels of indentation CPython accepts.  Each
+        # elif nests one level deeper in the syntax tree, which CPython's
+        # compiler recurses through, so at most four chains of at most
+        # kernel._CHAIN tests each, and an edge's own three.  The long
+        # program's 120 issue rows fill one chain and start a second.
+        def chain(node):
+            nested = len(node.orelse) == 1 and isinstance(node.orelse[0], ast.If)
+            return 1 + (chain(node.orelse[0]) if nested else 0)
+
+        def depth(node):
+            inner = max(map(depth, ast.iter_child_nodes(node)), default=0)
+            return isinstance(node, ast.If) + inner
+
+        longest = 0
         for config in _configs():
             cc = compile_config(config)
             for cover, only in _variants(cc):
-                lines = kernel.layer_source(cc, cover, only).splitlines()
-                assert max(len(line) - len(line.lstrip(" ")) for line in lines) <= 4 * 9
+                source = kernel.layer_source(cc, cover, only)
+                assert max(len(line) - len(line.lstrip(" ")) for line in source.splitlines()) <= 4 * 9
+                tree = ast.parse(source)
+                assert depth(tree) <= 4 * kernel._CHAIN + 3
+                longest = max([longest, *[chain(node) for node in ast.walk(tree)
+                                          if isinstance(node, ast.If)]])
+        assert longest == kernel._CHAIN
+
+    def test_a_long_run_of_exclusive_rows_compiles(self):
+        # 4,096 rows, one per assignment of 12 bits, exclude each other
+        # pairwise; as one chain of elifs they would overflow the compiler.
+        nodes = [(a, 4095 & ~a, (), ("t0 += 1", ("pass",))) for a in range(4096)]
+        lines = []
+        kernel._emit(nodes, 1, lines)
+        assert sum(line.lstrip().startswith("elif ") for line in lines) > 4000
+        compile("def layer(p):\n    e = t0 = 0\n" + "\n".join(lines), "<layer>", "exec")
 
     def test_hostile_ids_emit_the_source_of_plain_ones(self):
         hostile = compile_config(_hostile_config(False))
