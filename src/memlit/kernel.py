@@ -27,16 +27,19 @@ may enable is built on first use and kept on the ``CompiledConfig``.  It
 ranges each rule's bound parameters over their types and compiles every
 instance's guards in rule order into a row: the conjunction of their
 masks, the event tuple and the successor's action.  Static guards (kind,
-issuer, witness address) rule instances out as it is built, and the
-atomic order is the only guard read from the state.  Guard texts are
-messages only: ``step`` quotes the first that fails.  The search runs on
+issuer, witness address) rule instances out as it is built.  The atomic
+order is the only guard no mask expresses: ``successors`` and ``step``
+read it from the state in Python.  Guard texts are messages only:
+``step`` quotes the first that fails.  The search runs on
 ``search_layer``, a function generated from the table that expands a
-whole BFS layer with each row inlined in integers.  It tests the rows as
-a decision tree that keeps their order: rows that share mask bits are
-wrapped in one test of them, and rows that exclude each other are chained
-with elif/else.  The tree fires exactly the rows whose own masks hold, on
-every int.  Its tests nest at most four deep and its chains hold at most
-``_CHAIN`` tests, whatever the program's length, so CPython compiles it.
+whole BFS layer with each row inlined in integers, the atomic order and
+the rank an atomic access takes included, so no edge calls a function of
+the package.  It tests the rows as a decision tree that keeps their
+order: rows that share mask bits are wrapped in one test of them, and
+rows that exclude each other are chained with elif/else.  The tree fires
+exactly the rows whose own masks hold, on every int.  Its tests nest at
+most four deep and its chains hold at most ``_CHAIN`` tests, whatever the
+program's length, so CPython compiles it.
 ``successors`` lists one state's edges, for traces.
 """
 
@@ -229,13 +232,16 @@ class Guard(NamedTuple):
     a mask may assume every earlier guard of its rule holds.  A static guard
     (kind, issuer, witness address) compiles to None or ``(0, 0)``.  The
     masks are exact on reachable states.  The one guard no mask expresses,
-    the atomic order, has none and is read from the state by
-    ``read(cc, p, x, m, f, s)``.
+    the atomic order, has none.  ``read(cc, p, x, m, f, s)`` evaluates it on
+    a state, for ``successors`` and ``step``, and ``source(cc, x, m, f, s)``
+    writes it for the generated layer as tests over ``p`` in integers, which
+    hold on exactly the ints where ``read`` does.
     """
 
     text: str
     mask: Callable[[CompiledConfig, int, int, int, int], Masks | None] | None
     read: Callable[[CompiledConfig, int, int, int, int, int], bool] | None = None
+    source: Callable[[CompiledConfig, int, int, int, int], tuple[str, ...]] | None = None
 
 
 def _static(text: str, pred: Callable[[CompiledConfig, int, int, int, int], bool]) -> Guard:
@@ -302,15 +308,38 @@ def _rank(cc: CompiledConfig, p: int, x: int) -> int:
     return (p >> cc.rank_shift[x]) & cc.rank_mask if cc.rank_shift[x] else 0
 
 
+# Sequential consistency: atomic stores become visible to every master in
+# first-observation order, with no skipping.  The guard ranges over the
+# release stores t of the other masters only, which is exact on reachable
+# states.  A release store t ahead of x on x's master is an access before x,
+# so the guard before this one already needs m to have observed t.  One
+# behind x was first observed only once x was visible to its observer, so x
+# was ranked first, and rank(x) < rank(t) wherever t is ranked.
+
+def _other_rel_stores(cc: CompiledConfig, x: int) -> list[int]:
+    return [t for t in cc.rel_store_slots if cc.issuer_ix[t] != cc.issuer_ix[x]]
+
+
 def _atomic_order_ok(cc: CompiledConfig, p: int, x: int, m: int, f: int, s: int) -> bool:
-    # Sequential consistency: atomic stores become visible to every master
-    # in first-observation order, with no skipping.
     rank = _rank(cc, p, x)
-    for t in cc.rel_store_slots:
+    for t in _other_rel_stores(cc, x):
         r = _rank(cc, p, t)
         if r and (not rank or r < rank) and not p & cc.obs_bit[t][m]:
             return False
     return True
+
+
+def _atomic_order_source(cc: CompiledConfig, x: int, m: int, f: int, s: int) -> tuple[str, ...]:
+    # Per t: m has observed t, or t is unranked, or x is ranked no later
+    # than t.  Two fields of an arbitrary int may hold the same rank, and
+    # ``_atomic_order_ok`` fails only on rank(t) < rank(x), hence <=.  Bits
+    # are read by shift, so each test's size does not grow with the state.
+    rm, rs = cc.rank_mask, cc.rank_shift
+    return tuple([
+        f"(p >> {cc.obs_shift[t] + m} & 1 or not p >> {rs[t]} & {rm:#x}"
+        f" or 0 < p >> {rs[x]} & {rm:#x} <= p >> {rs[t]} & {rm:#x})"
+        for t in _other_rel_stores(cc, x)
+    ])
 
 
 _ISSUE = (
@@ -400,7 +429,8 @@ RULES: tuple[tuple[Guard, ...], ...] = (
         _is_kind(InstrKind.SC_REL_STORE),
         _UNSEEN,
         Guard("every access before {x} is visible to {m}", _preds_visible),
-        Guard("{m} has observed every atomic store ordered before {x}", None, _atomic_order_ok),
+        Guard("{m} has observed every atomic store ordered before {x}", None,
+              _atomic_order_ok, _atomic_order_source),
     ),
     # ObserveScAcqLoad
     (_ISSUED, _is_kind(InstrKind.SC_ACQ_LOAD), _UNSEEN, _BY_OBSERVER, _ACQ_PREDS),
@@ -412,12 +442,12 @@ def _first_failing(cc: CompiledConfig, p: int, ev: InternalEvent) -> int:
     code, x, m, f, s = ev
     if not 0 <= code < len(RULES):
         raise ValueError(f"unknown event code {code}")
-    for n, (_, mask, read) in enumerate(RULES[code], start=1):
-        if mask is None:
-            if not read(cc, p, x, m, f, s):
+    for n, guard in enumerate(RULES[code], start=1):
+        if guard.mask is None:
+            if not guard.read(cc, p, x, m, f, s):
                 return n
             continue
-        masks = mask(cc, x, m, f, s)
+        masks = guard.mask(cc, x, m, f, s)
         if masks is None or p & masks[0] != masks[0] or p & masks[1]:
             return n
     return 0
@@ -496,17 +526,17 @@ _PHASES = (
 
 def _compile_row(cc: CompiledConfig, ev: InternalEvent) -> tuple | None:
     """ev's table row, (need, forbid, ev, clear, set, src, dst, atomic), or
-    None if a guard can never hold.  ``atomic`` is None, or (x's observer
-    field, rank shift, the guards read from the state) for an access whose
-    first observation takes a rank or that has such a guard."""
+    None if a guard can never hold.  ``atomic`` is None, or (rank shift,
+    the guards read from the state) for an access whose first observation
+    takes a rank or that has such a guard."""
     code, x, m, f, s = ev
     need = forbid = 0
     reads = ()
-    for _, mask, read in RULES[code]:
-        if mask is None:
-            reads += (read,)
+    for guard in RULES[code]:
+        if guard.mask is None:
+            reads += (guard,)
             continue
-        masks = mask(cc, x, m, f, s)
+        masks = guard.mask(cc, x, m, f, s)
         if masks is None:
             return None
         need |= masks[0]
@@ -514,7 +544,7 @@ def _compile_row(cc: CompiledConfig, ev: InternalEvent) -> tuple | None:
     if need & forbid:
         return None
     clear, set_, src, dst, shift = _effect(cc, ev)
-    atomic = (cc.obs_field[x], shift, reads) if shift or reads else None
+    atomic = (shift, reads) if shift or reads else None
     return need, forbid, ev, clear, set_, src, dst, atomic
 
 
@@ -568,7 +598,7 @@ def successors(cc: CompiledConfig, p: int) -> list[tuple[InternalEvent, int]]:
         if p & group_need == group_need and not p & group_forbid
         for need, forbid, ev, *_, atomic in rows
         if p & need == need and not p & forbid
-        and (atomic is None or all([read(cc, p, *ev[1:]) for read in atomic[2]]))
+        and (atomic is None or all([guard.read(cc, p, *ev[1:]) for guard in atomic[1]]))
     ]
 
 
@@ -582,9 +612,6 @@ def iter_candidate_events(cc: CompiledConfig, p: int) -> Iterator[InternalEvent]
 # ---------------------------------------------------------------------------
 # The generated search layer
 # ---------------------------------------------------------------------------
-
-# The guards read from the state, bound as read0, read1, ... for a layer.
-_READS = tuple(dict.fromkeys([g.read for rule in RULES for g in rule if g.read]))
 
 # A layer's source: {rows} holds the table's tests and edges, and _NEW the
 # bookkeeping of an edge's successor q.  t<code> tallies the edges.
@@ -605,7 +632,7 @@ if q not in parents:
     parents[q] = p
     if len(parents) > limit:
         raise exceeded(limit, depth, len(frontier))
-    if q & {lo} == {lo} and (k := ((q >> {rs}) & {rm}) | ((q >> {sb}) << {rw})) not in triggers:
+    if q & {lo:#x} == {lo:#x} and (k := ((q >> {rs}) & {rm:#x}) | ((q >> {sb}) << {rw})) not in triggers:
         triggers[k] = q
         if stop(k):
             halt = q
@@ -689,8 +716,8 @@ def _emit(nodes: list[_Node], depth: int, lines: list[str]) -> None:
         if shared:
             lines.append(pad + "e = 1")
         for k, ((need, forbid, reads), body) in enumerate(chain):
-            tests = [f"p & {need}" if need & need - 1 == 0 else f"p & {need} == {need}"] * bool(need)
-            tests += [f"not p & {forbid}"] * bool(forbid) + list(reads)
+            tests = [f"p & {need:#x}" if need & need - 1 == 0 else f"p & {need:#x} == {need:#x}"]
+            tests = tests * bool(need) + [f"not p & {forbid:#x}"] * bool(forbid) + list(reads)
             if tests:
                 lines.append(pad + ("elif " if k else "if ") + " and ".join(tests) + ":")
             elif k:
@@ -708,9 +735,11 @@ def _emit(nodes: list[_Node], depth: int, lines: list[str]) -> None:
 def layer_source(cc: CompiledConfig, cover: tuple[tuple[int, int], ...] = (),
                  only: bool = False) -> str:
     """The source of cc's ``layer``, written in cc's integers: no name or
-    text of the configuration enters it.  ``cover`` pairs event codes with
-    bits above ``cc.state_bits`` that their edges also set, and ``only``
-    drops the observations ``cover`` does not name.
+    text of the configuration enters it, and no edge calls a function of
+    the package.  Masks are written in hex, which Python converts at any
+    width.  ``cover`` pairs event codes with bits above ``cc.state_bits``
+    that their edges also set, and ``only`` drops the observations
+    ``cover`` does not name.
 
     The table's rows are tested as a decision tree that keeps their order:
     runs of consecutive groups, then of a group's rows, that share mask bits
@@ -724,13 +753,20 @@ def layer_source(cc: CompiledConfig, cover: tuple[tuple[int, int], ...] = (),
     new = _NEW.format(lo=cc.loads_observed, rs=cc.rf_shift, rm=cc.rf_mask,
                       sb=cc.state_bits, rw=cc.rf_mask.bit_length()).splitlines()
 
+    # ``_next_rank``: the observer fields, from bit n_instr up, each ORed
+    # down to its lowest bit; the atomic slots' bits left set are counted.
+    fold = " | ".join([f"p >> {cc.n_instr + j}" for j in range(cc.n_masters)])
+    lows = sum([1 << (cc.obs_shift[x] - cc.n_instr) for x, sh in enumerate(cc.rank_shift) if sh])
+    next_rank = f"bit_count(({fold}) & {lows:#x}) + 1"
+
     def edge(code, x, m, f, s, clear, set_, src, dst, atomic) -> tuple[str, tuple[str, ...]]:
-        q = "p" if clear == -1 else f"(p & {clear})"
-        lines = [f"q = {q} | {set_ | bits.get(code, 0)}"]
+        q = "p" if clear == -1 else f"(p & {clear:#x})"
+        lines = [f"q = {q} | {set_ | bits.get(code, 0):#x}"]
         if dst:
-            lines.append(f"q |= ((p >> {src}) & {cc.value_mask}) << {dst}")
-        if atomic and atomic[1]:
-            lines += [f"if not p & {atomic[0]}:", f"    q |= next_rank(cc, p) << {atomic[1]}"]
+            lines.append(f"q |= ((p >> {src}) & {cc.value_mask:#x}) << {dst}")
+        if atomic and atomic[0]:
+            lines += [f"if not p >> {cc.obs_shift[x]} & {cc.all_masters_mask:#x}:",
+                      f"    q |= ({next_rank}) << {atomic[0]}"]
         # An edge that observes no load and fires no mustCover event keeps its node's key.
         tail = new if set_ & cc.loads_observed or code in bits else new[:4] + new[-1:]
         return f"t{code} += 1", tuple(lines + tail)
@@ -740,7 +776,7 @@ def layer_source(cc: CompiledConfig, cover: tuple[tuple[int, int], ...] = (),
     for group_need, group_forbid, group in cc.event_table:
         leaves = [
             (need, forbid,
-             tuple([f"read{_READS.index(r)}(cc, p, {x}, {m}, {f}, {s})" for r in atomic[2]])
+             tuple([t for guard in atomic[1] for t in guard.source(cc, x, m, f, s)])
              if atomic else (),
              edge(code, x, m, f, s, *effect, atomic))
             for need, forbid, (code, x, m, f, s), *effect, atomic in group
@@ -762,8 +798,7 @@ def search_layer(cc: CompiledConfig, cover: tuple[tuple[int, int], ...] = (),
     order, and returns the new nodes and the node it stopped at, or 0."""
     layer = cc.search_layers.get((cover, only))
     if layer is None:
-        namespace = {"__builtins__": {"len": len}, "next_rank": _next_rank,
-                     **{f"read{i}": read for i, read in enumerate(_READS)}}
+        namespace = {"__builtins__": {"len": len}, "bit_count": int.bit_count}
         exec(layer_source(cc, cover, only), namespace)
         # Popped, or the function and its namespace would form a cycle.
         layer = cc.search_layers[cover, only] = namespace.pop("layer")

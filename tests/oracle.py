@@ -8,8 +8,9 @@ sequentially consistent outcomes by an interpreter without the kernel,
 program order, coherence and happens-before by a checker over raw traces, and
 membership of a fuzz program class by its definition rather than its sampler,
 litmus tokens by the character loop the tokenizer replaced, the search by the
-loop over ``successors`` edges that the generated layers replaced, and a
-layer's decision tree by the event table's rows tested one at a time.
+loop over ``successors`` edges that the generated layers replaced, a
+layer's decision tree by the event table's rows tested one at a time, and
+the atomic-order guard by its form over every release store.
 
 The package's machine state is the packed int; ``MachineState`` is only the
 view ``replay`` returns.  The toolkit converts at that boundary: ``pack``
@@ -808,3 +809,19 @@ def flat_layer(cc: CompiledConfig, p: int, cover=(), only: bool = False):
     for code, _ in edges:
         tally[code] += 1
     return list(dict.fromkeys([q for _, q in edges])), tally, not edges
+
+
+# ---------------------------------------------------------------------------
+# The atomic-order guard over every release store: the reference for
+# ``kernel._atomic_order_ok``, which checks those of other masters only.
+# ---------------------------------------------------------------------------
+
+def full_atomic_order_ok(cc: CompiledConfig, p: int, x: int, m: int, f: int, s: int) -> bool:
+    # Sequential consistency: atomic stores become visible to every master
+    # in first-observation order, with no skipping.
+    rank = kernel._rank(cc, p, x)
+    for t in cc.rel_store_slots:
+        r = kernel._rank(cc, p, t)
+        if r and (not rank or r < rank) and not p & cc.obs_bit[t][m]:
+            return False
+    return True

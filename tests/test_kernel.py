@@ -31,6 +31,7 @@ from oracle import (
     enabled_events,
     fire,
     fold_lov,
+    full_atomic_order_ok,
     init_state,
     mask_to_instr_ids,
     mask_to_masters,
@@ -468,6 +469,44 @@ class TestAtomicGuards:
         assert err.value.guard == "grd5"
         st = fire(st, cfg, EventDescriptor(name="ObserveScRelStore", s="M1_1", m="M1"))
         fire(st, cfg, EventDescriptor(name="ObserveScRelStore", s="M2_1", m="M1"))
+
+    # The search stops at the first BFS layer that takes a configuration
+    # past this many reachable states: a few sampled configurations of
+    # three instructions per master reach millions.
+    NARROWED_CAP = 10_000
+
+    def test_narrowed_atomic_order_agrees_with_the_full_range(self, all_corpus):
+        # grd5 ranges over the release stores of other masters only.  Where
+        # grd1-grd4 hold on a reachable state, it must decide as the guard
+        # over every release store does.
+        configs = [t.config for t in all_corpus.values()] + [
+            random_config(random.Random(seed), max_per_master=n)
+            for n in (2, 3) for seed in range(SAMPLED_SEEDS)
+        ]
+        checked = failed = 0
+        for cfg in configs:
+            cc = compile_config(cfg)
+            # Each instance with the masks of grd1-grd4, which are exact.
+            rows = [row[:3] for row in (
+                kernel._compile_row(cc, (kernel.OBS_SC_REL_STORE, x, m, -1, -1))
+                for x in cc.rel_store_slots for m in range(cc.n_masters)) if row]
+            if not rows:
+                continue
+            parents = {cc.initial_state: None}
+            frontier, depth, layer = [cc.initial_state], 0, kernel.search_layer(cc)
+            while frontier and len(parents) < self.NARROWED_CAP:
+                frontier = layer(frontier, parents, [], {}, lambda k: False, 1 << 62, None, depth,
+                                 [0] * len(EVENT_NAMES), cc)[0]
+                depth += 1
+            for p in parents:
+                for need, forbid, ev in rows:
+                    if p & need == need and not p & forbid:
+                        guard = check_guards(cc, p, ev)
+                        assert guard in (None, "grd5")
+                        assert (guard is None) == full_atomic_order_ok(cc, p, *ev[1:]), (p, ev)
+                        checked += 1
+                        failed += guard == "grd5"
+        assert checked and failed
 
     def test_acquire_load_blocks_later_accesses(self):
         cfg = make_config({

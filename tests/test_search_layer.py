@@ -33,6 +33,37 @@ LONG = "\n".join([
     "master M2 { J1: LD R1 a; }", "allowed ( M2:R1 = 1 )", "",
 ])
 
+# The same with release stores and an acquire load: 120 atomic slots to rank.
+LONG_RELEASE = "\n".join([
+    'litmus "longrel"', "init { a = 0; }",
+    "master M1 {", *[f"  I{k}: SCST.REL a #{k % 3 + 1};" for k in range(1, 121)], "}",
+    "master M2 { J1: SCLD.ACQ R1 a; J2: LD R2 a; }", "allowed ( M2:R1 = 1 )", "",
+])
+
+# The bytes of LONG_RELEASE's plain layer when each atomic edge called a
+# rank function and each bit was tested with a literal as wide as the state.
+LONG_RELEASE_LAYER_BYTES = 575_597
+
+# IRIW with one release store on each of two writers: the one known test in
+# which the atomic-order guard decides the verdict.
+IRIW_TWO_WRITERS = """litmus "iriw-atomic-two-writers"
+init { a1 = 0; a2 = 0; }
+master M1 { I11: SCST.REL a1 #1; }
+master M2 { I21: SCLD.ACQ R1 a1; I23: SCLD.ACQ R2 a2; }
+master M3 { I31: SCLD.ACQ R1 a2; I33: SCLD.ACQ R2 a1; }
+master M4 { I41: SCST.REL a2 #1; }
+forbidden ( M2:R1 = 1 /\\ M3:R1 = 1 /\\ M2:R2 = 0 /\\ M3:R2 = 0 )
+"""
+
+# Release stores on three masters: each atomic-order guard has two terms.
+THREE_WRITERS = """litmus "three-writers"
+init { a = 0; b = 0; }
+master M1 { I11: SCST.REL a #1; I12: LD R1 b; }
+master M2 { I21: SCST.REL b #1; I22: SCLD.ACQ R1 a; }
+master M3 { I31: SCST.REL a #2; I32: SCLD.ACQ R1 b; }
+allowed ( M2:R1 = 2 )
+"""
+
 
 @pytest.fixture()
 def compared(monkeypatch):
@@ -132,6 +163,12 @@ allowed ( M1:R1 = 1 )
         case = find_trace(test, TestTarget(None, frozenset({"ObserveScRelStore"})))
         assert case.trace[-1].name == "ObserveScRelStore" and len(compared) == 1
 
+    def test_two_writer_sc_iriw(self, compared):
+        verdict = check_outcome(parse(IRIW_TWO_WRITERS))
+        assert (verdict.kind, verdict.state_count, verdict.transition_count) == (
+            "Holds", 96626, 315728)
+        assert compared == [96626]
+
     def test_state_limit(self, compared, iriw_fence):
         with pytest.raises(StateLimitExceeded):
             explore_test(iriw_fence, max_states=1000)
@@ -155,6 +192,9 @@ def _configs():
     for seed in range(SAMPLED_SEEDS):
         yield random_config(random.Random(seed), max_per_master=2)
     yield parse(LONG).config
+    yield parse(THREE_WRITERS).config
+    yield parse(IRIW_TWO_WRITERS).config
+    yield parse(LONG_RELEASE).config
 
 
 def _random_ints(rng: random.Random, bits: int, n: int):
@@ -167,6 +207,17 @@ def _random_ints(rng: random.Random, bits: int, n: int):
         yield p
 
 
+def _assert_layer_is_flat(cc, cover, only, p) -> list[int]:
+    """Expand the frontier [p] with cc's layer and require what
+    ``flat_layer`` makes of it; returns the tally."""
+    finals, tally = [], [0] * len(kernel.EVENT_NAMES)
+    out, halt = kernel.search_layer(cc, cover, only)(
+        [p], {}, finals, {}, lambda k: False, 1 << 62, StateLimitExceeded, 0, tally, cc)
+    assert (out, tally, finals == [p]) == flat_layer(cc, p, cover, only), p
+    assert halt == 0 and finals in ([], [p])
+    return tally
+
+
 class TestTreeAgainstFlatRows:
     def test_every_variant_on_random_ints(self):
         # The tree must equal the flat row tests on every int, not only on
@@ -175,13 +226,25 @@ class TestTreeAgainstFlatRows:
         for config in _configs():
             cc = compile_config(config)
             for cover, only in _variants(cc):
-                layer = kernel.search_layer(cc, cover, only)
                 for p in _random_ints(rng, cc.state_bits, 40):
-                    finals, tally = [], [0] * len(kernel.EVENT_NAMES)
-                    out, halt = layer([p], {}, finals, {}, lambda k: False, 1 << 62,
-                                      StateLimitExceeded, 0, tally, cc)
-                    assert (out, tally, finals == [p]) == flat_layer(cc, p, cover, only), p
-                    assert halt == 0 and finals in ([], [p])
+                    _assert_layer_is_flat(cc, cover, only, p)
+
+    def test_equal_ranks(self):
+        # A random int may give two atomic slots the same nonzero rank,
+        # which no reachable state does; the atomic-order guard must still
+        # fail only where one release store ranks strictly before the other.
+        rng = random.Random(25)
+        cc = compile_config(parse(THREE_WRITERS).config)
+        atomics = [x for x, sh in enumerate(cc.rank_shift) if sh]
+        fired = 0
+        for x, t in itertools.permutations(atomics, 2):
+            for p in _random_ints(rng, cc.state_bits, 60):
+                rank = rng.randrange(1, cc.rank_mask + 1)
+                for y in (x, t):
+                    p = p & ~(cc.rank_mask << cc.rank_shift[y]) | rank << cc.rank_shift[y]
+                for cover, only in _variants(cc):
+                    fired += _assert_layer_is_flat(cc, cover, only, p)[kernel.OBS_SC_REL_STORE]
+        assert fired
 
 
 def test_a_long_program_compiles(capsys, tmp_path):
@@ -192,13 +255,47 @@ def test_a_long_program_compiles(capsys, tmp_path):
     assert (captured.out, captured.err) == ("long: Reachable (allowed outcome, 197 states)\n", "")
 
 
-# Every name a generated layer may use.
+def test_a_long_release_program_stays_small(capsys, tmp_path):
+    # Every edge's code has a size independent of the program's length:
+    # bits are read by shift and the rank is counted, not summed per slot.
+    path = tmp_path / "longrel.litmus"
+    path.write_text(LONG_RELEASE)
+    assert main(["check", str(path), "--max-states", "1000"]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "longrel: Reachable (allowed outcome, 773 states)\n", "")
+    cc = compile_config(parse(LONG_RELEASE).config)
+    assert len(kernel.layer_source(cc)) <= 1.5 * LONG_RELEASE_LAYER_BYTES
+
+
+def test_a_state_wider_than_the_digit_limit_compiles():
+    # Layer literals are written in hex, which Python converts at any width;
+    # decimal ones would hit the integer string conversion limit.
+    text = "\n".join([
+        'litmus "wide"', "init { a = 0; }",
+        "master M1 {", *[f"  I{k}: ST a #{k % 3 + 1};" for k in range(1, 701)], "}",
+        "master M2 { J1: LD R1 a; }", "allowed ( M2:R1 = 1 )", "",
+    ])
+    cc = compile_config(parse(text).config)
+    assert cc.state_bits == 2811
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    if limit is not None:
+        old = limit()
+        sys.set_int_max_str_digits(640)
+    try:
+        compile(kernel.layer_source(cc), "<layer>", "exec")
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(old)
+
+
+# Every name a generated layer may use, and those it may call.
 ALLOWED_NAMES = frozenset({
     "layer", "frontier", "parents", "finals", "triggers", "stop", "limit", "exceeded", "depth",
-    "tally", "cc", "halt", "out", "append", "final", "p", "e", "q", "k", "len",
-    "next_rank", *(f"t{code}" for code in range(len(kernel.EVENT_NAMES))),
-    *(f"read{i}" for i in range(len(kernel._READS))),
+    "tally", "cc", "halt", "out", "append", "final", "p", "e", "q", "k", "len", "bit_count",
+    *(f"t{code}" for code in range(len(kernel.EVENT_NAMES))),
 })
+CALLED_NAMES = frozenset({"append", "final", "stop", "exceeded", "len", "bit_count"})
 
 
 def _hostile_config(plain: bool) -> SystemConfig:
@@ -288,20 +385,26 @@ class TestSourceHygiene:
         for cover, only in _variants(plain):
             source = kernel.layer_source(plain, cover, only)
             assert kernel.layer_source(hostile, cover, only) == source
-        assert "read0(cc, p, " in kernel.layer_source(plain)
+        assert "bit_count((p >> " in kernel.layer_source(plain)
         assert explore(hostile.config).state_count == explore(plain.config).state_count
 
-    def test_read_guards_are_bound_names(self, iriw_atomic):
-        cc = compile_config(iriw_atomic.config)
-        source = kernel.layer_source(cc)
-        used = {node.func.id for node in ast.walk(ast.parse(source))
-                if isinstance(node, ast.Call) and node.func.id.startswith("read")}
-        assert used == {"read0"}
-        namespace = kernel.search_layer(cc).__globals__
-        reads = {g.read for rule in kernel.RULES for g in rule if g.read}
-        assert namespace["read0"] is kernel._atomic_order_ok and {namespace["read0"]} == reads
-        assert set(namespace) == {"__builtins__", "next_rank", "read0"}
-        assert namespace["__builtins__"] == {"len": len}
+    def test_edges_call_only_the_bookkeeping_and_the_rank_counter(self):
+        # The atomic-order guard and the rank are written in integers too:
+        # no edge calls a function of the package.
+        called = set()
+        for config in _configs():
+            cc = compile_config(config)
+            for cover, only in _variants(cc):
+                tree = ast.parse(kernel.layer_source(cc, cover, only))
+                for node in ast.walk(tree):
+                    if isinstance(node, ast.Call):
+                        func = node.func
+                        called.add(func.attr if isinstance(func, ast.Attribute) else func.id)
+                namespace = kernel.search_layer(cc, cover, only).__globals__
+                assert set(namespace) == {"__builtins__", "bit_count"}
+                assert namespace["__builtins__"] == {"len": len}
+                assert namespace["bit_count"] is int.bit_count
+        assert called == CALLED_NAMES
 
     def test_one_layer_per_variant_kept_on_the_config(self, iriw_fence):
         cc = compile_config(iriw_fence.config)
